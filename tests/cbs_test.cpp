@@ -27,6 +27,12 @@ struct CbsCase {
   unsigned storage_height;
 };
 
+// Names the case (and so the test): "n64_m16_norepl_raw_ell0".
+void PrintTo(const CbsCase& c, std::ostream* os) {
+  *os << "n" << c.n << "_m" << c.m << (c.with_replacement ? "_repl_" : "_norepl_")
+      << to_string(c.leaf_mode) << "_ell" << c.storage_height;
+}
+
 class CbsHonestSweep : public ::testing::TestWithParam<CbsCase> {};
 
 TEST_P(CbsHonestSweep, HonestParticipantAccepted) {
@@ -62,7 +68,8 @@ INSTANTIATE_TEST_SUITE_P(
         CbsCase{64, 8, true, LeafMode::kRaw, 2},      // §3.3 partial storage
         CbsCase{100, 8, true, LeafMode::kRaw, 3},
         CbsCase{257, 14, false, LeafMode::kHashed, 4},
-        CbsCase{1024, 33, true, LeafMode::kRaw, 10}));  // ℓ = H
+        CbsCase{1024, 33, true, LeafMode::kRaw, 10}),  // ℓ = H
+    ::testing::PrintToStringParamName());
 
 TEST(Cbs, ScreenerHitsCollected) {
   const Task task =

@@ -39,6 +39,11 @@ struct RootGolden {
   const char* root_hex;
 };
 
+// Names the case (and so the test): "sha1_n1023".
+void PrintTo(const RootGolden& golden, std::ostream* os) {
+  *os << to_string(golden.algo) << "_n" << golden.n;
+}
+
 class GoldenRoots : public ::testing::TestWithParam<RootGolden> {};
 
 TEST_P(GoldenRoots, RootMatchesPrePipelineBuild) {
@@ -72,13 +77,18 @@ INSTANTIATE_TEST_SUITE_P(
                    "d1a35ed395462c1d7de504875d59a26d"},
         RootGolden{HashAlgorithm::kSha256, 1023,
                    "8d7e91f342a316e1372f5e1dcb00055c"
-                   "1ffa5ecc1a4bb731887152c45b44ccc7"}));
+                   "1ffa5ecc1a4bb731887152c45b44ccc7"}),
+    ::testing::PrintToStringParamName());
 
 struct ProofGolden {
   HashAlgorithm algo;
   const char* leaf_hex;
   const char* siblings_digest_hex;  // hash over the concatenated path
 };
+
+void PrintTo(const ProofGolden& golden, std::ostream* os) {
+  *os << to_string(golden.algo);
+}
 
 class GoldenProofs : public ::testing::TestWithParam<ProofGolden> {};
 
@@ -105,7 +115,8 @@ INSTANTIATE_TEST_SUITE_P(
                     "420aeeb3ccc3c740665fc8849920921994307ef5"},
         ProofGolden{HashAlgorithm::kSha256, "8608d39e116c966a",
                     "b0407594024eebc6cb693d99030654d2"
-                    "9b0643c53de7296aaee2ffb9cf7d58af"}));
+                    "9b0643c53de7296aaee2ffb9cf7d58af"}),
+    ::testing::PrintToStringParamName());
 
 TEST(GoldenBatchProof, SiblingStreamMatchesPrePipelineBuild) {
   const auto& h = default_hash();

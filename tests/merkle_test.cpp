@@ -172,7 +172,8 @@ TEST_P(MerkleProofSweep, TamperedSiblingFailsVerification) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, MerkleProofSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17,
-                                           31, 33, 64, 100, 127, 128, 257));
+                                           31, 33, 64, 100, 127, 128, 257),
+                         ::testing::PrintToStringParamName());
 
 TEST(MerkleTree, DifferentHashAlgorithmsProduceDifferentRoots) {
   const auto md5 = make_hash(HashAlgorithm::kMd5);
@@ -245,7 +246,8 @@ TEST_P(StreamingEquivalence, RootMatchesFullBuild) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, StreamingEquivalence,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16,
-                                           17, 100, 255, 256, 257, 1000));
+                                           17, 100, 255, 256, 257, 1000),
+                         ::testing::PrintToStringParamName());
 
 TEST(StreamingBuilder, FinishWithoutLeavesThrows) {
   StreamingMerkleBuilder builder(default_hash());
@@ -285,6 +287,11 @@ struct PartialCase {
   std::uint64_t n;
   unsigned subtree_height;
 };
+
+// Names the case (and so the test): "n33_ell3".
+void PrintTo(const PartialCase& c, std::ostream* os) {
+  *os << "n" << c.n << "_ell" << c.subtree_height;
+}
 
 class PartialTreeSweep : public ::testing::TestWithParam<PartialCase> {};
 
@@ -338,7 +345,8 @@ INSTANTIATE_TEST_SUITE_P(
                       PartialCase{8, 3}, PartialCase{8, 9}, PartialCase{16, 2},
                       PartialCase{33, 3}, PartialCase{64, 4},
                       PartialCase{100, 3}, PartialCase{128, 7},
-                      PartialCase{257, 5}));
+                      PartialCase{257, 5}),
+    ::testing::PrintToStringParamName());
 
 TEST(PartialTree, RecomputeMeterCountsSubtreeLeaves) {
   const auto& h = default_hash();
