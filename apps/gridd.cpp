@@ -23,6 +23,8 @@
 //   gridworker --connect 127.0.0.1:7001 --cheat semi-honest:0.5 &
 //   wait
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cinttypes>
 #include <csignal>
@@ -43,18 +45,14 @@ namespace {
 using namespace ugc;
 
 int run_gridd(const cli::Flags& flags) {
-  // Engine probe: e2e scripts ask "can this kernel construct <backend>?"
-  // before pinning a whole run to it (tests/e2e/loopback_grid.sh skips its
-  // uring leg when this exits nonzero). Exit 0 = constructible here.
-  if (const std::string probe = flags.str("probe-engine"); !probe.empty()) {
-    const net::EngineBackend backend = net::parse_engine_backend(probe);
-    const bool supported =
-        backend == net::EngineBackend::kUring   ? net::uring_supported()
-        : backend == net::EngineBackend::kEpoll ? net::epoll_supported()
-                                                : true;  // auto/poll
-    std::printf("gridd: engine %s %s\n", probe.c_str(),
-                supported ? "supported" : "unsupported");
-    return supported ? cli::kExitOk : cli::kExitError;
+  // Every worker holds a connection, so the default soft descriptor limit
+  // (often 1024) would cap the grid well below what the kernel allows.
+  // Raise it to the hard limit; running out anyway only defers accepts.
+  rlimit files{};
+  if (::getrlimit(RLIMIT_NOFILE, &files) == 0 &&
+      files.rlim_cur < files.rlim_max) {
+    files.rlim_cur = files.rlim_max;
+    ::setrlimit(RLIMIT_NOFILE, &files);
   }
 
   // Reputation outlives the process when --state-dir is set: the ledger's
@@ -74,8 +72,6 @@ int run_gridd(const cli::Flags& flags) {
 
   net::TcpTransportOptions options;
   options.quiescence_timeout_ms = flags.u64("idle-timeout-ms");
-  options.io_threads = static_cast<unsigned>(flags.u64("io-threads"));
-  options.engine = net::parse_engine_backend(flags.str("engine"));
   options.quiescence.adaptive = flags.u64("adaptive-idle") != 0;
   options.quiescence.floor_ms = flags.u64("idle-floor-ms");
   options.quiescence.ceiling_ms = flags.u64("idle-ceiling-ms");
@@ -97,12 +93,9 @@ int run_gridd(const cli::Flags& flags) {
   check(port <= 65535, "--port ", flags.str("port"),
         " out of range (0 = ephemeral, else 1-65535)");
   transport.listen(flags.str("host"), static_cast<std::uint16_t>(port));
-  // io_stats().engine is the *resolved* backend: under --engine auto this
-  // says which of uring/epoll/poll actually got constructed.
-  const net::TcpIoStats boot = transport.io_stats();
-  std::printf("gridd: listening on %s:%u engine=%s io_loops=%u\n",
+  std::printf("gridd: listening on %s:%u engine=%s\n",
               flags.str("host").c_str(), transport.port(),
-              boot.engine.c_str(), boot.io_loops);
+              transport.io_stats().engine.c_str());
   std::fflush(stdout);
 
   // Registration: a connection becomes an assignment slot once its proof
@@ -185,7 +178,6 @@ int run_gridd(const cli::Flags& flags) {
   plan.scheme.pipeline.max_inflight =
       std::max<std::size_t>(1, flags.u64("epoch-inflight"));
   plan.seed = flags.u64("seed");
-  plan.pump_threads = static_cast<unsigned>(flags.u64("pump-threads"));
   plan.max_task_retries = flags.u64("max-retries");
 
   SupervisorNode supervisor(plan, slots);
@@ -246,8 +238,8 @@ int run_gridd(const cli::Flags& flags) {
               "rejected=%zu aborted=%zu reassigned=%" PRIu64
               " verification_evals=%" PRIu64 " stale_frames=%" PRIu64
               " bytes=%" PRIu64
-              " refused=%" PRIu64 " engine=%s io_loops=%u "
-              "read_calls=%" PRIu64 " write_calls=%" PRIu64
+              " refused=%" PRIu64 " accepts_deferred=%" PRIu64
+              " engine=%s read_calls=%" PRIu64 " write_calls=%" PRIu64
               " frames_per_write=%.2f "
               "write_queue_hwm=%zu undecodable=%" PRIu64 " truncated=%" PRIu64
               " shed=%" PRIu64 " evicted=%" PRIu64 " idle_timeout_ms=%" PRIu64
@@ -258,7 +250,8 @@ int run_gridd(const cli::Flags& flags) {
               supervisor.verification_evaluations(),
               supervisor.stale_frames_dropped(),
               transport.stats().total_bytes, io.handshakes_refused,
-              io.engine.c_str(), io.io_loops, io.read_calls, io.write_calls,
+              io.accepts_deferred, io.engine.c_str(), io.read_calls,
+              io.write_calls,
               io.frames_per_write_mean, io.write_queue_hwm,
               io.frames_undecodable, io.streams_truncated, io.frames_shed,
               io.peers_evicted, io.quiescence_timeout_ms);
@@ -300,7 +293,6 @@ int main(int argc, char** argv) {
       {"domain-begin", "0"},
       {"domain-end", "3072"},
       {"seed", "1"},
-      {"pump-threads", "1"},
       {"max-retries", "2"},
       {"idle-timeout-ms", "1000"},
       {"adaptive-idle", "0"},
@@ -310,9 +302,6 @@ int main(int argc, char** argv) {
       {"evict-after-ms", "0"},
       {"chaos", "off"},
       {"chaos-seed", "1"},
-      {"io-threads", "1"},
-      {"engine", "auto"},
-      {"probe-engine", ""},
       {"state-dir", ""},
       {"ban-threshold", "0.5"},
       {"min-observations", "2"},

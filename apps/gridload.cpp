@@ -11,18 +11,20 @@
 //
 // Two modes:
 //
-//   sweep (default) — hosts the supervisor side itself and runs the same
-//     population against each transport configuration in turn: single-loop
-//     poll() (the portable baseline), single-loop epoll, and multi-loop
-//     epoll (--io-threads loops, sharded accept). Emits BENCH_grid.json
-//     with per-config connect rate, exchanges/s, verdicts/s, p50/p99
-//     verdict latency, and per-loop fd counts, plus the headline
-//     multi-loop-epoll vs single-loop-poll ratio.
+//   chaos curve (default) — hosts the supervisor side itself and runs the
+//     same population over a clean wire and then under light and heavy
+//     seeded WAN fault injection (grid/chaos.h), with adaptive quiescence
+//     on. Writes a JSON file (--out) with each level's connect rate,
+//     exchanges/s, verdicts/s and p50/p99 verdict latency, plus the
+//     heavy-vs-clean p99 ratio: how far a hostile network stretches the
+//     tail while the verdicts stay correct.
 //   --connect host:port — drives the army against an external gridd (the
-//     CI load-smoke path). No sweep; asserts the run completed.
+//     CI load-smoke path). Asserts the run completed.
 //
 // --smoke shrinks the population to a few hundred workers and enforces the
-// CI gates: zero honest-worker accusations and a minimum exchanges/s floor.
+// CI gates: zero honest-worker accusations, a cheater caught somewhere on
+// the curve, and a minimum exchanges/s floor on the clean wire.
+// Throughput and latency of gridd itself are measured by perfbench/.
 //
 // Exit status: 0 clean; 2 an honest worker was accused (the one outcome a
 // load test must never produce); 3 incomplete (deadline, missing verdicts,
@@ -94,8 +96,8 @@ class WorkerLink final : public Transport {
 
 // The scripted worker population: N concurrent authenticated protocol
 // clients multiplexed over one event engine. run() blocks until the
-// supervisor hangs up every connection (or the deadline passes), so in
-// sweep mode it lives on its own thread.
+// supervisor hangs up every connection (or the deadline passes), so when
+// gridload hosts the supervisor itself the army lives on its own thread.
 class WorkerArmy {
  public:
   struct Config {
@@ -115,14 +117,12 @@ class WorkerArmy {
     // once, which no real population would grant it.
     std::size_t connect_batch = 1;
     std::uint64_t deadline_ms = 180000;
-    net::EngineBackend engine = net::EngineBackend::kAuto;
   };
 
   explicit WorkerArmy(Config config) : config_(std::move(config)) {}
 
   void run() {
-    auto engine = net::make_event_engine(config_.engine);
-    engine_name_ = engine->name();  // resolved: what kAuto actually picked
+    auto engine = net::make_event_engine();
     Rng rng(config_.seed ^ 0x9e3779b97f4a7c15ull);
     Bytes read_scratch(64 * 1024);
     std::vector<net::ReadyEvent> ready;
@@ -210,7 +210,6 @@ class WorkerArmy {
   std::size_t connect_failures() const { return connect_failures_; }
   bool deadline_hit() const { return deadline_hit_; }
   double connect_seconds() const { return connect_seconds_; }
-  const std::string& resolved_engine() const { return engine_name_; }
 
   // Thread-safe mid-run snapshot for the runtime watchdog: the army loop
   // refreshes it once per round, so a hung run still shows its last known
@@ -456,7 +455,6 @@ class WorkerArmy {
   }
 
   Config config_;
-  std::string engine_name_;
   Bytes encode_scratch_;  // pooled encode buffer, shared by every WorkerLink
   std::vector<std::unique_ptr<Conn>> conns_;
   std::size_t live_ = 0;
@@ -535,24 +533,14 @@ double percentile(std::vector<double> sorted, double p) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-struct SweepConfig {
-  net::EngineBackend engine;
-  unsigned io_threads;
-  std::string chaos_level = "off";  // make_chaos_plan level for this run
-  bool adaptive_idle = false;
-};
-
 struct RunResult {
-  std::string engine;            // resolved: what actually got constructed
-  std::string engine_requested;  // what the sweep asked for (kAuto may differ)
-  unsigned io_loops = 1;
+  std::string engine;
   double connect_s = 0, protocol_s = 0, total_s = 0;
   double connects_per_s = 0, exchanges_per_s = 0, verdicts_per_s = 0;
   std::uint64_t messages = 0;
   std::size_t verdicts = 0, accepted = 0, rejected = 0, aborted = 0;
   std::size_t honest_accusations = 0;
   double p50_ms = 0, p99_ms = 0;
-  std::vector<std::size_t> peers_per_loop;
   std::size_t write_queue_hwm = 0;
   // Syscall economy of the supervisor's write side: how many frames each
   // vectored write carried on average (the batching headline).
@@ -573,28 +561,26 @@ struct RunResult {
   std::uint64_t one_shot_epochs = 0;
 };
 
-// One full grid run: hosts the supervisor transport under `config`, throws
-// the army at it, and scores the outcome. All `workers` connect and
+// One full grid run: hosts the supervisor transport under the chaos level
+// `chaos_level` (make_chaos_plan), throws the army at it, and scores the
+// outcome. All `workers` connect and
 // authenticate; tasks are assigned to the first `active` of them — a
 // standing volunteer population keeps far more connections open than it
 // has work in flight at any moment, and that watched-but-idle majority is
 // the regime readiness-driven dispatch exists for.
 RunResult run_grid(const cli::Flags& flags, std::size_t workers,
                    std::size_t active, std::size_t cheaters,
-                   SweepConfig config, RuntimeWatchdog* watchdog = nullptr) {
+                   const std::string& chaos_level,
+                   RuntimeWatchdog* watchdog = nullptr) {
   net::TcpTransportOptions options;
-  options.io_threads = config.io_threads;
-  options.engine = config.engine;
   options.quiescence_timeout_ms = flags.u64("idle-timeout-ms");
   options.shed_watermark = flags.u64("shed-watermark");
   options.evict_stalled_after_ms = flags.u64("evict-after-ms");
-  if (config.chaos_level != "off") {
+  options.quiescence.adaptive = true;
+  if (chaos_level != "off") {
     const std::uint64_t chaos_seed = flags.u64("chaos-seed");
     options.chaos = make_chaos_plan(
-        config.chaos_level, chaos_seed != 0 ? chaos_seed : flags.u64("seed"));
-  }
-  if (config.adaptive_idle) {
-    options.quiescence.adaptive = true;
+        chaos_level, chaos_seed != 0 ? chaos_seed : flags.u64("seed"));
   }
   net::TcpTransport transport(options);
   transport.require_auth({});  // no ban list: a load test bans nobody
@@ -632,14 +618,12 @@ RunResult run_grid(const cli::Flags& flags, std::size_t workers,
   army_config.deadline_ms = flags.u64("deadline-ms");
   WorkerArmy army(army_config);
   if (watchdog != nullptr) {
-    watchdog->observe(&army, concat("engine=", net::to_string(config.engine),
-                                    " io_threads=", config.io_threads,
-                                    " chaos=", config.chaos_level));
+    watchdog->observe(&army, concat("chaos=", chaos_level));
   }
   std::thread army_thread([&army] { army.run(); });
 
   RunResult result;
-  result.chaos = config.chaos_level;
+  result.chaos = chaos_level;
   try {
     Stopwatch clock;
     const double registration_deadline_s =
@@ -692,9 +676,6 @@ RunResult run_grid(const cli::Flags& flags, std::size_t workers,
 
     const net::TcpIoStats io = transport.io_stats();
     result.engine = io.engine;
-    result.engine_requested = net::to_string(config.engine);
-    result.io_loops = io.io_loops;
-    result.peers_per_loop = io.peers_per_loop;
     result.write_queue_hwm = io.write_queue_hwm;
     result.read_calls = io.read_calls;
     result.write_calls = io.write_calls;
@@ -779,14 +760,13 @@ RunResult run_grid(const cli::Flags& flags, std::size_t workers,
 }
 
 void print_result(const RunResult& result) {
-  std::printf("gridload: engine=%s(requested %s) io_loops=%u chaos=%s "
+  std::printf("gridload: engine=%s chaos=%s "
               "connect=%.2fs (%.0f/s) "
               "protocol=%.2fs total=%.2fs exchanges/s=%.0f verdicts=%zu (%.0f/s) "
               "accepted=%zu rejected=%zu aborted=%zu honest_accusations=%zu "
               "p50=%.1fms p99=%.1fms hwm=%zu shed=%" PRIu64 " evicted=%" PRIu64
               " idle_timeout_ms=%" PRIu64 "\n",
-              result.engine.c_str(), result.engine_requested.c_str(),
-              result.io_loops, result.chaos.c_str(),
+              result.engine.c_str(), result.chaos.c_str(),
               result.connect_s,
               result.connects_per_s, result.protocol_s, result.total_s,
               result.exchanges_per_s, result.verdicts, result.verdicts_per_s,
@@ -794,11 +774,7 @@ void print_result(const RunResult& result) {
               result.honest_accusations, result.p50_ms, result.p99_ms,
               result.write_queue_hwm, result.frames_shed, result.peers_evicted,
               result.idle_timeout_ms);
-  std::printf("gridload:   peers_per_loop=[");
-  for (std::size_t i = 0; i < result.peers_per_loop.size(); ++i) {
-    std::printf("%s%zu", i == 0 ? "" : ",", result.peers_per_loop[i]);
-  }
-  std::printf("] read_calls=%" PRIu64 " write_calls=%" PRIu64
+  std::printf("gridload:   read_calls=%" PRIu64 " write_calls=%" PRIu64
               " frames_per_write=%.2f refused=%" PRIu64 " undecodable=%" PRIu64
               " truncated=%" PRIu64 " connect_failures=%zu%s\n",
               result.read_calls, result.write_calls,
@@ -817,26 +793,18 @@ void print_result(const RunResult& result) {
 void emit_json_run(FILE* json, const RunResult& result, bool first) {
   std::fprintf(
       json,
-      "%s    {\"engine\": \"%s\", \"engine_requested\": \"%s\", "
-      "\"io_threads\": %u, \"connect_s\": %.3f, "
+      "%s    {\"engine\": \"%s\", \"connect_s\": %.3f, "
       "\"connects_per_sec\": %.1f, \"protocol_s\": %.3f, \"total_s\": %.3f, "
       "\"exchanges_per_sec\": %.1f, \"messages\": %" PRIu64 ", "
       "\"verdicts\": %zu, \"verdicts_per_sec\": %.1f, \"accepted\": %zu, "
       "\"rejected\": %zu, \"aborted\": %zu, \"honest_accusations\": %zu, "
-      "\"p50_verdict_ms\": %.2f, \"p99_verdict_ms\": %.2f, "
-      "\"peers_per_loop\": [",
-      first ? "" : ",\n", result.engine.c_str(),
-      result.engine_requested.c_str(), result.io_loops,
-      result.connect_s, result.connects_per_s, result.protocol_s,
+      "\"p50_verdict_ms\": %.2f, \"p99_verdict_ms\": %.2f, ",
+      first ? "" : ",\n", result.engine.c_str(), result.connect_s, result.connects_per_s, result.protocol_s,
       result.total_s, result.exchanges_per_s, result.messages, result.verdicts,
       result.verdicts_per_s, result.accepted, result.rejected, result.aborted,
       result.honest_accusations, result.p50_ms, result.p99_ms);
-  for (std::size_t i = 0; i < result.peers_per_loop.size(); ++i) {
-    std::fprintf(json, "%s%zu", i == 0 ? "" : ", ",
-                 result.peers_per_loop[i]);
-  }
   std::fprintf(json,
-               "], \"write_queue_hwm\": %zu, \"read_calls\": %" PRIu64
+               "\"write_queue_hwm\": %zu, \"read_calls\": %" PRIu64
                ", \"write_calls\": %" PRIu64
                ", \"frames_per_write_mean\": %.3f"
                ", \"handshakes_refused\": %" PRIu64
@@ -882,7 +850,6 @@ int run_gridload(const cli::Flags& flags, bool smoke) {
   if (smoke && min_exchanges == 0.0) {
     min_exchanges = 50.0;  // the CI floor: catastrophic regressions only
   }
-  const bool chaos_mode = flags.u64("chaos") != 0;
 
   // A load test that hangs is worse than one that fails: the watchdog
   // bounds the whole process and dumps the army's last-known per-worker
@@ -900,7 +867,6 @@ int run_gridload(const cli::Flags& flags, bool smoke) {
     config.cheaters = cheaters;
     config.seed = flags.u64("seed");
     config.deadline_ms = flags.u64("deadline-ms");
-    config.engine = net::parse_engine_backend(flags.str("engine"));
     WorkerArmy army(config);
     watchdog.observe(&army, concat("external ", host, ":", port));
     Stopwatch clock;
@@ -908,11 +874,10 @@ int run_gridload(const cli::Flags& flags, bool smoke) {
     const double total_s = clock.elapsed_seconds();
     std::vector<double> latencies = army.latencies_ms();
     std::sort(latencies.begin(), latencies.end());
-    std::printf("gridload: external %s:%u engine=%s workers=%zu cheaters=%zu "
+    std::printf("gridload: external %s:%u workers=%zu cheaters=%zu "
                 "completed=%zu connect_failures=%zu total=%.2fs "
                 "verdict_latencies=%zu p50=%.1fms p99=%.1fms%s\n",
-                host.c_str(), port, army.resolved_engine().c_str(), workers,
-                cheaters, army.completed(),
+                host.c_str(), port, workers, cheaters, army.completed(),
                 army.connect_failures(), total_s, latencies.size(),
                 percentile(latencies, 0.50), percentile(latencies, 0.99),
                 army.deadline_hit() ? " DEADLINE-HIT" : "");
@@ -926,93 +891,30 @@ int run_gridload(const cli::Flags& flags, bool smoke) {
     return cli::kExitOk;
   }
 
-  // Sweep mode: same population, one transport configuration at a time.
-  // --chaos swaps the axis: instead of comparing engines on a clean wire,
-  // it holds the engine fixed (epoll x1 where available, adaptive
-  // quiescence on) and degrades the network — off / light / heavy — to
-  // record the verdict-latency degradation curve.
-  const unsigned io_threads =
-      std::max<unsigned>(2, static_cast<unsigned>(flags.u64("io-threads")));
-  std::vector<SweepConfig> sweep;
-  if (chaos_mode) {
-    const net::EngineBackend engine = net::epoll_supported()
-                                          ? net::EngineBackend::kEpoll
-                                          : net::EngineBackend::kPoll;
-    for (const char* level : {"off", "light", "heavy"}) {
-      sweep.push_back({engine, 1, level, true});
-    }
-  } else {
-    sweep.push_back({net::EngineBackend::kPoll, 1});
-    if (net::epoll_supported()) {
-      sweep.push_back({net::EngineBackend::kEpoll, 1});
-      sweep.push_back({net::EngineBackend::kEpoll, io_threads});
-    }
-    // The full engine matrix: uring joins wherever the kernel has it, in
-    // both loop shapes, so BENCH_grid.json carries a like-for-like
-    // uring-vs-epoll comparison on the same population.
-    if (net::uring_supported()) {
-      sweep.push_back({net::EngineBackend::kUring, 1});
-      sweep.push_back({net::EngineBackend::kUring, io_threads});
-    }
-  }
-
-  std::printf("gridload: sweep workers=%zu active=%zu cheaters=%zu points=%" PRIu64
-              " samples=%" PRIu64 " scheme=%s workload=%s%s%s\n",
+  // The chaos curve: the same population over a clean wire, then light and
+  // heavy WAN fault injection.
+  const std::vector<std::string> levels{"off", "light", "heavy"};
+  std::printf("gridload: chaos curve workers=%zu active=%zu cheaters=%zu "
+              "points=%" PRIu64 " samples=%" PRIu64 " scheme=%s workload=%s%s\n",
               workers, active, cheaters, flags.u64("points"),
-              flags.u64("samples"),
-              flags.str("scheme").c_str(), flags.str("workload").c_str(),
-              chaos_mode ? "  [chaos]" : "", smoke ? "  [smoke]" : "");
+              flags.u64("samples"), flags.str("scheme").c_str(),
+              flags.str("workload").c_str(), smoke ? "  [smoke]" : "");
   std::fflush(stdout);
 
   // Unrecorded warm-up: the first grid of the process pays page faults and
-  // allocator growth that would otherwise bias whichever config runs first.
+  // allocator growth that would otherwise bias the first level.
   const std::size_t warm = std::min<std::size_t>(workers, 100);
-  run_grid(flags, warm, warm, 0, sweep.front(), &watchdog);
+  run_grid(flags, warm, warm, 0, levels.front(), &watchdog);
 
   std::vector<RunResult> results;
-  for (const SweepConfig& config : sweep) {
+  for (const std::string& level : levels) {
     results.push_back(
-        run_grid(flags, workers, active, cheaters, config, &watchdog));
+        run_grid(flags, workers, active, cheaters, level, &watchdog));
     print_result(results.back());
   }
-
-  // Headline ratios: the engine sweep compares throughput (multi-loop epoll
-  // vs single-loop poll, plus single-loop uring vs single-loop epoll — the
-  // pure syscall-economy comparison); the chaos sweep compares p99 verdict
-  // latency (heavy vs clean) — how much WAN hostility stretches the tail
-  // while verdicts stay correct.
-  const auto find_run = [&](const char* engine,
-                            bool multi_loop) -> const RunResult* {
-    for (const RunResult& result : results) {
-      if (result.engine == engine &&
-          (multi_loop ? result.io_loops > 1 : result.io_loops == 1)) {
-        return &result;
-      }
-    }
-    return nullptr;
-  };
-  const RunResult& baseline = results.front();  // poll x1 / chaos off
-  const RunResult* multi_epoll =
-      chaos_mode ? nullptr : find_run("epoll", true);
-  const RunResult& contender = chaos_mode
-                                   ? results.back()  // chaos heavy
-                                   : (multi_epoll != nullptr ? *multi_epoll
-                                                             : results.back());
+  const RunResult& clean = results.front();
   const double ratio =
-      chaos_mode ? (baseline.p99_ms > 0 ? contender.p99_ms / baseline.p99_ms
-                                        : 0.0)
-                 : (baseline.exchanges_per_s > 0
-                        ? contender.exchanges_per_s / baseline.exchanges_per_s
-                        : 0.0);
-  const RunResult* epoll_single = chaos_mode ? nullptr : find_run("epoll", false);
-  const RunResult* uring_single = chaos_mode ? nullptr : find_run("uring", false);
-  const bool have_uring_ratio =
-      epoll_single != nullptr && uring_single != nullptr &&
-      epoll_single->exchanges_per_s > 0;
-  const double uring_vs_epoll =
-      have_uring_ratio
-          ? uring_single->exchanges_per_s / epoll_single->exchanges_per_s
-          : 0.0;
+      clean.p99_ms > 0 ? results.back().p99_ms / clean.p99_ms : 0.0;
 
   const std::string out_path = flags.str("out");
   FILE* json = std::fopen(out_path.c_str(), "w");
@@ -1022,7 +924,7 @@ int run_gridload(const cli::Flags& flags, bool smoke) {
     return cli::kExitError;
   }
   std::fprintf(json,
-               "{\n  \"smoke\": %s,\n  \"chaos\": %s,\n"
+               "{\n  \"smoke\": %s,\n"
                "  \"hardware_threads\": %u,\n"
                "  \"workers\": %zu,\n  \"active_workers\": %zu,\n"
                "  \"cheaters\": %zu,\n"
@@ -1030,32 +932,16 @@ int run_gridload(const cli::Flags& flags, bool smoke) {
                "  \"samples\": %" PRIu64 ",\n  \"epochs\": %" PRIu64 ",\n"
                "  \"scheme\": \"%s\",\n"
                "  \"workload\": \"%s\",\n  \"runs\": [\n",
-               smoke ? "true" : "false", chaos_mode ? "true" : "false",
-               std::thread::hardware_concurrency(), workers, active, cheaters,
+               smoke ? "true" : "false", std::thread::hardware_concurrency(), workers, active, cheaters,
                flags.u64("points"), flags.u64("samples"), flags.u64("epochs"),
                flags.str("scheme").c_str(), flags.str("workload").c_str());
   for (std::size_t i = 0; i < results.size(); ++i) {
     emit_json_run(json, results[i], i == 0);
   }
-  std::fprintf(json, "\n  ],\n  \"%s\": %.3f",
-               chaos_mode ? "chaos_heavy_vs_off_p99"
-                          : "multi_loop_epoll_vs_single_loop_poll",
+  std::fprintf(json, "\n  ],\n  \"chaos_heavy_vs_off_p99\": %.3f\n}\n",
                ratio);
-  if (have_uring_ratio) {
-    std::fprintf(json, ",\n  \"uring_vs_epoll\": %.3f", uring_vs_epoll);
-  }
-  std::fprintf(json, "\n}\n");
   std::fclose(json);
-  if (chaos_mode) {
-    std::printf("gridload: heavy chaos vs clean wire p99 = %.2fx\n", ratio);
-  } else {
-    std::printf("gridload: multi-loop epoll vs single-loop poll = %.2fx\n",
-                ratio);
-    if (have_uring_ratio) {
-      std::printf("gridload: single-loop uring vs single-loop epoll = %.2fx\n",
-                  uring_vs_epoll);
-    }
-  }
+  std::printf("gridload: heavy chaos vs clean wire p99 = %.2fx\n", ratio);
   std::printf("gridload: wrote %s\n", out_path.c_str());
   std::fflush(stdout);
 
@@ -1078,22 +964,21 @@ int run_gridload(const cli::Flags& flags, bool smoke) {
     std::fprintf(stderr, "gridload: FAIL — run incomplete\n");
     return cli::kExitIncomplete;
   }
-  if (chaos_mode && cheaters > 0 && rejected == 0) {
+  if (cheaters > 0 && rejected == 0) {
     // Chaos must degrade latency, never detection: a hostile wire that
     // lets every cheater walk means the protocol drowned, not the network.
     std::fprintf(stderr,
                  "gridload: FAIL — no cheater caught across the chaos "
-                 "sweep (cheaters=%zu)\n",
+                 "curve (cheaters=%zu)\n",
                  cheaters);
     return cli::kExitIncomplete;
   }
-  if (!chaos_mode && min_exchanges > 0 &&
-      contender.exchanges_per_s < min_exchanges) {
+  if (min_exchanges > 0 && clean.exchanges_per_s < min_exchanges) {
     // The throughput floor is a clean-wire gate: heavy chaos is *supposed*
     // to be slow.
     std::fprintf(stderr,
                  "gridload: FAIL — %.1f exchanges/s below the %.1f floor\n",
-                 contender.exchanges_per_s, min_exchanges);
+                 clean.exchanges_per_s, min_exchanges);
     return cli::kExitIncomplete;
   }
   return cli::kExitOk;
@@ -1130,18 +1015,15 @@ int main(int argc, char** argv) {
       {"scheme", "cbs"},
       {"workload", "test"},
       {"seed", "1"},
-      {"io-threads", "4"},
-      {"engine", "auto"},
       {"idle-timeout-ms", "1000"},
       {"max-retries", "2"},
       {"deadline-ms", "180000"},
       {"min-exchanges-per-s", "0"},
-      {"chaos", "0"},
       {"chaos-seed", "0"},
       {"shed-watermark", "0"},
       {"evict-after-ms", "0"},
       {"max-runtime-s", "900"},
-      {"out", "BENCH_grid.json"},
+      {"out", "BENCH_grid.chaos.json"},
   };
   std::optional<cli::Flags> flags;
   try {
@@ -1154,15 +1036,14 @@ int main(int argc, char** argv) {
     flags->print_usage(
         "gridload [--smoke]",
         "Load-test harness: drives --workers in-process scripted workers "
-        "(honest + --cheaters) against a supervisor — self-hosted sweep "
-        "over poll/epoll/multi-loop configs emitting BENCH_grid.json, or "
-        "an external gridd via --connect. --smoke shrinks the population "
-        "and enforces the CI gates; --chaos 1 sweeps WAN fault levels "
-        "(off/light/heavy) instead of engines; --epochs N with --scheme "
-        "pipelined-cbs streams per-epoch commitments (cheaters become "
-        "mid-run defectors; BENCH_grid.json gains wasted-epoch columns); "
-        "--max-runtime-s bounds the whole process with a state-dumping "
-        "watchdog.");
+        "(honest + --cheaters) against a supervisor — self-hosted over a "
+        "clean wire and under light and heavy WAN chaos (the latency "
+        "degradation curve, written to --out), or an external gridd via "
+        "--connect. --smoke shrinks the population and enforces the CI "
+        "gates; --epochs N with --scheme pipelined-cbs streams per-epoch "
+        "commitments (cheaters become mid-run defectors; the JSON gains "
+        "wasted-epoch columns); --max-runtime-s bounds the whole process "
+        "with a state-dumping watchdog.");
     return cli::kExitOk;
   }
   try {

@@ -131,7 +131,6 @@ int run_gridworker(const cli::Flags& flags) {
 
   net::TcpTransportOptions transport_options;
   transport_options.quiescence_timeout_ms = flags.u64("idle-timeout-ms");
-  transport_options.engine = net::parse_engine_backend(flags.str("engine"));
   net::TcpTransport transport(transport_options);
   transport.use_identity(identity, flags.str("agent"));
   const GridNodeId self = transport.add_local(node);
@@ -255,7 +254,6 @@ int main(int argc, char** argv) {
       {"screener", "faithful"},
       {"seed", "1"},
       {"idle-timeout-ms", "1000"},
-      {"engine", "auto"},
       {"identity-file", ""},
       {"connect-retries", "10"},
       {"connect-backoff-ms", "100"},

@@ -1,17 +1,13 @@
 // Supervisor verification-throughput trajectory bench: how many verdicts
 // (and individual sample proofs) per second can the supervisor issue, across
-// domain sizes, sample counts, schemes, and pump strategies?
+// domain sizes and sample counts?
 //
-// Two sections:
-//  - proof_check: single-threaded Step-4 checking at 2^20-leaf tasks,
-//    comparing the pre-PR allocating implementation (copied below verbatim)
-//    against the allocation-free scratch path, both on in-memory responses
-//    and through the wire (owning decode + allocating verify vs zero-copy
-//    view decode + scratch verify). The win here is attributable to the
-//    zero-allocation rewrite, not core count.
-//  - pump: end-to-end exchanges for many participants (CBS plain/batched/
-//    SPRT, NI-CBS, ringer) through the serial and the parallel session pump
-//    (run_scheme_exchanges_parallel), whose outputs are byte-identical.
+// proof_check: single-threaded Step-4 checking at up to 2^20-leaf tasks,
+// comparing the earlier allocating implementation (copied below verbatim)
+// against the allocation-free scratch path, both on in-memory responses and
+// through the wire (owning decode + allocating verify vs zero-copy view
+// decode + scratch verify). The win here is attributable to the
+// zero-allocation rewrite, not core count.
 //
 // Emits BENCH_verify.json so subsequent PRs can track the trajectory; run
 // with --smoke for a seconds-scale CI sanity pass over tiny sizes.
@@ -36,8 +32,6 @@
 #include "merkle/batch_proof.h"
 #include "merkle/geometry.h"
 #include "merkle/proof.h"
-#include "scheme/exchange.h"
-#include "scheme/registry.h"
 #include "wire/messages.h"
 
 using namespace ugc;
@@ -245,51 +239,23 @@ struct ProofCheckRow {
   double wire_fast = 0.0;
 };
 
-struct PumpRow {
-  std::string scheme;
-  std::size_t participants = 0;
-  unsigned log2_n = 0;
-  double serial = 0.0;
-  double parallel = 0.0;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  bool require_parallel = false;
   std::string out_path = "BENCH_verify.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--require-parallel") == 0) {
-      require_parallel = true;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--smoke] [--require-parallel] [--out PATH]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--smoke] [--out PATH]\n", argv[0]);
       return 2;
     }
   }
 
   const unsigned hw_threads = std::thread::hardware_concurrency();
-  const bool parallel_meaningful = hw_threads >= 2;
-  if (!parallel_meaningful) {
-    std::fprintf(stderr,
-                 "warning: hardware_threads=%u — the parallel-pump columns "
-                 "are not meaningful on this host\n",
-                 hw_threads);
-    // CI's bench legs pass --require-parallel: pump-thread scaling numbers
-    // from a single-core runner would record contention, not parallelism.
-    if (require_parallel) {
-      std::fprintf(stderr,
-                   "error: --require-parallel: refusing to run on a "
-                   "single-threaded host\n");
-      return 3;
-    }
-  }
   const double min_seconds = smoke ? 0.02 : 0.25;
 
   std::printf("== supervisor verification throughput (verdicts/s) ==\n");
@@ -412,85 +378,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ------------------------------------------------------------------- pump
-  struct SchemeSetup {
-    const char* label;
-    SchemeConfig config;
-  };
-  std::vector<SchemeSetup> schemes;
-  {
-    SchemeSetup cbs{"cbs", {}};
-    cbs.config.kind = SchemeKind::kCbs;
-    schemes.push_back(cbs);
-    SchemeSetup batched{"cbs_batched", {}};
-    batched.config.kind = SchemeKind::kCbs;
-    batched.config.cbs.use_batch_proofs = true;
-    schemes.push_back(batched);
-    SchemeSetup sprt{"cbs_sprt", {}};
-    sprt.config.kind = SchemeKind::kCbs;
-    sprt.config.cbs.use_sprt = true;
-    schemes.push_back(sprt);
-    SchemeSetup nicbs{"ni-cbs", {}};
-    nicbs.config.kind = SchemeKind::kNiCbs;
-    nicbs.config.nicbs.sample_count = 32;
-    schemes.push_back(nicbs);
-    SchemeSetup ringer{"ringer", {}};
-    ringer.config.kind = SchemeKind::kRinger;
-    schemes.push_back(ringer);
-  }
-
-  const std::vector<std::size_t> participant_counts =
-      smoke ? std::vector<std::size_t>{8} : std::vector<std::size_t>{64, 256};
-  const unsigned task_exp = smoke ? 8 : 10;
-  const std::uint64_t task_leaves = std::uint64_t{1} << task_exp;
-  std::vector<PumpRow> pump_rows;
-
-  std::printf("\n-- pump: serial vs parallel session pump "
-              "(run_scheme_exchanges_parallel) --\n");
-  std::printf("%-12s %-13s %-6s %12s %12s %8s\n", "scheme", "participants",
-              "n", "serial", "parallel", "speedup");
-  for (const SchemeSetup& setup : schemes) {
-    const VerificationScheme& scheme =
-        SchemeRegistry::global().resolve(setup.config);
-    for (const std::size_t participants : participant_counts) {
-      std::vector<Task> tasks;
-      tasks.reserve(participants);
-      for (std::size_t i = 0; i < participants; ++i) {
-        tasks.push_back(Task::make(TaskId{i + 1},
-                                   Domain(i * task_leaves,
-                                          (i + 1) * task_leaves),
-                                   f));
-      }
-
-      PumpRow row;
-      row.scheme = setup.label;
-      row.participants = participants;
-      row.log2_n = task_exp;
-      {
-        Stopwatch timer;
-        const SchemeExchangeResult serial = run_scheme_exchanges_parallel(
-            scheme, tasks, setup.config, nullptr, nullptr, 42, 1);
-        row.serial =
-            static_cast<double>(serial.verdicts.size()) /
-            timer.elapsed_seconds();
-        check(serial.verdicts.size() == participants,
-              "pump bench: missing verdicts");
-      }
-      {
-        Stopwatch timer;
-        const SchemeExchangeResult parallel = run_scheme_exchanges_parallel(
-            scheme, tasks, setup.config, nullptr, nullptr, 42, 0);
-        row.parallel =
-            static_cast<double>(parallel.verdicts.size()) /
-            timer.elapsed_seconds();
-      }
-      pump_rows.push_back(row);
-      std::printf("%-12s %-13zu 2^%-4u %12.0f %12.0f %7.2fx\n",
-                  row.scheme.c_str(), row.participants, row.log2_n, row.serial,
-                  row.parallel, row.parallel / row.serial);
-    }
-  }
-
   // ------------------------------------------------------------------- JSON
   FILE* json = std::fopen(out_path.c_str(), "w");
   if (json == nullptr) {
@@ -499,9 +386,8 @@ int main(int argc, char** argv) {
   }
   std::fprintf(json,
                "{\n  \"smoke\": %s,\n  \"hardware_threads\": %u,\n"
-               "  \"parallel_meaningful\": %s,\n  \"hash\": \"sha256\",\n",
-               smoke ? "true" : "false", hw_threads,
-               parallel_meaningful ? "true" : "false");
+               "  \"hash\": \"sha256\",\n",
+               smoke ? "true" : "false", hw_threads);
   std::fprintf(json, "  \"proof_check\": [\n");
   for (std::size_t i = 0; i < proof_rows.size(); ++i) {
     const ProofCheckRow& r = proof_rows[i];
@@ -519,18 +405,6 @@ int main(int argc, char** argv) {
                  r.fast * static_cast<double>(r.samples), r.wire_base,
                  r.wire_fast, r.wire_fast / r.wire_base,
                  i + 1 < proof_rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n  \"pump\": [\n");
-  for (std::size_t i = 0; i < pump_rows.size(); ++i) {
-    const PumpRow& r = pump_rows[i];
-    std::fprintf(json,
-                 "    {\"scheme\": \"%s\", \"participants\": %zu, "
-                 "\"log2_n\": %u, \"serial_verdicts_per_sec\": %.0f, "
-                 "\"parallel_verdicts_per_sec\": %.0f, "
-                 "\"pump_speedup\": %.2f, \"threads\": %u}%s\n",
-                 r.scheme.c_str(), r.participants, r.log2_n, r.serial,
-                 r.parallel, r.parallel / r.serial, hw_threads,
-                 i + 1 < pump_rows.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);

@@ -15,7 +15,7 @@ inline constexpr std::uint64_t kParallelMinimumWork = 4096;
 
 // Runs fn(i) for i in [begin, end) across up to `threads` workers (0 = use
 // hardware concurrency). Blocks until every index is processed. Indices are
-// partitioned into contiguous chunks, so neighbouring work shares cache.
+// partitioned into contiguous chunks, so adjacent work shares cache.
 // If fn throws, every worker is still joined and the first exception is
 // rethrown on the calling thread.
 //

@@ -16,7 +16,7 @@ namespace ugc {
 
 // Work/cost counters for one participant run.
 struct ParticipantMetrics {
-  // Genuine f evaluations during the initial domain sweep (the cheater's
+  // Genuine f evaluations in the initial domain sweep (the cheater's
   // actual work; equals n for an honest participant).
   std::uint64_t honest_evaluations = 0;
   // Leaves filled with guessed values.
@@ -52,7 +52,7 @@ class ParticipantEngine {
   // deduplicated sibling stream.
   BatchProofResponse prove_batch(std::span<const LeafIndex> samples);
 
-  // Screener hits gathered during the domain sweep, in domain order. The
+  // Screener hits gathered in the domain sweep, in domain order. The
   // semi-honest cheater screens its guessed values too — S(x, f̌(x)).
   const std::vector<ScreenerHit>& hits() const { return hits_; }
 

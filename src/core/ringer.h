@@ -74,7 +74,7 @@ class RingerParticipant {
   // f evaluations genuinely performed (= r·n in expectation for a cheater).
   std::uint64_t honest_evaluations() const { return honest_evaluations_; }
 
-  // Screener hits gathered during the sweep (populated by scan()).
+  // Screener hits gathered in the sweep (populated by scan()).
   const std::vector<ScreenerHit>& hits() const { return hits_; }
 
  private:

@@ -42,7 +42,7 @@ struct NaiveSamplingConfig {
 // Union of per-scheme parameters; `kind` selects which members apply.
 struct SchemeConfig {
   SchemeKind kind = SchemeKind::kCbs;
-  // Optional SchemeRegistry name. When non-empty it overrides `kind` during
+  // Optional SchemeRegistry name. When non-empty it overrides `kind` in
   // resolution — the hook that lets custom (registered) schemes ride through
   // TaskAssignment without a reserved enum value.
   std::string name;

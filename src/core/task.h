@@ -125,7 +125,7 @@ class Screener {
 
   // Returns a report when (x, f(x)) is of interest, std::nullopt otherwise.
   // Must be deterministic and thread-safe: the participant engine screens
-  // leaves concurrently during the parallel domain sweep.
+  // leaves concurrently in the parallel domain sweep.
   virtual std::optional<std::string> screen(std::uint64_t x,
                                             BytesView fx) const = 0;
 

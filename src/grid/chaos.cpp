@@ -211,12 +211,6 @@ std::size_t LatencyTransport::run(std::size_t max_steps) {
       progressed = true;
       last_activity = vnow_ms_;
     }
-    for (GridNode* node : nodes_) {
-      while (node->flush(*this)) {
-        progressed = true;
-        last_activity = vnow_ms_;
-      }
-    }
     if (progressed) {
       continue;  // replies sent at zero latency may already be due
     }

@@ -179,7 +179,7 @@ class LatencyTransport final : public Transport {
   void send(GridNodeId from, GridNodeId to, const Message& message) override;
   const NetworkStats& stats() const override { return stats_; }
 
-  // Runs deliveries, flushes, and quiescence cycles until every node is
+  // Runs deliveries and quiescence cycles until every node is
   // done reacting and the queue is dry. Returns delivered-frame count;
   // throws past `max_steps` (a protocol livelock, not a chaos effect).
   std::size_t run(std::size_t max_steps = 1000000);

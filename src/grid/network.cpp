@@ -206,19 +206,10 @@ bool SimTransport::deliver_one() {
 std::size_t SimTransport::run(std::size_t max_deliveries) {
   std::size_t delivered = 0;
   for (;;) {
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      while (deliver_one()) {
-        ++delivered;
-        check(delivered <= max_deliveries,
-              "SimTransport::run: exceeded ", max_deliveries,
-              " deliveries — protocol loop?");
-        progressed = true;
-      }
-      for (GridNode* node : nodes_) {
-        progressed |= node->flush(*this);
-      }
+    while (deliver_one()) {
+      ++delivered;
+      check(delivered <= max_deliveries, "SimTransport::run: exceeded ",
+            max_deliveries, " deliveries — protocol loop?");
     }
     if (!parked_.empty()) {
       // Stalled frames arrive late — after everything else went quiet, but

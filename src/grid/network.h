@@ -108,10 +108,9 @@ class SimTransport final : public Transport {
   // Returns false when the queue is empty.
   bool deliver_one();
 
-  // Delivers until idle, flushing nodes (GridNode::flush, in node-id order)
-  // each time the queue drains; when deliveries and flushes both go quiet,
-  // releases stalled frames, then fires GridNode::on_quiescent (the timeout
-  // hook) — the run ends only once none of the three makes progress. Throws
+  // Delivers until idle; then releases stalled frames, then fires
+  // GridNode::on_quiescent (the timeout hook) — the run ends only once none
+  // of the three makes progress. Throws
   // ugc::Error after `max_deliveries` as a protocol-loop guard. Returns the
   // number of delivery attempts.
   std::size_t run(std::size_t max_deliveries = 1'000'000);

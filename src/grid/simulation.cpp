@@ -111,7 +111,6 @@ GridRunResult run_grid_simulation(const GridConfig& config) {
   plan.seed = config.seed;
   plan.schemes = config.schemes;
   plan.validate_reported_hits = config.validate_reported_hits;
-  plan.pump_threads = config.supervisor_pump_threads;
   plan.max_task_retries = config.max_task_retries;
   SupervisorNode supervisor(plan, slots);
   network.add_node(supervisor);

@@ -75,11 +75,6 @@ struct GridConfig {
   const SchemeRegistry* schemes = nullptr;
   // Supervisor-side hit validation (see SupervisorNode::Plan).
   bool validate_reported_hits = true;
-  // Supervisor session-pump concurrency (see SupervisorNode::Plan): 1 =
-  // serial inline verification, 0 = hardware concurrency, N = N workers.
-  // Any value yields byte-identical verdicts, metrics, and reputation
-  // inputs; only wall-clock changes.
-  unsigned supervisor_pump_threads = 1;
 };
 
 struct ParticipantOutcome {

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/error.h"
-#include "common/parallel.h"
 
 namespace ugc {
 
@@ -77,10 +76,10 @@ void SupervisorNode::assign_group(GroupState& group, Transport& transport) {
     assignment.ringer_images = session->planted_images(id);
     transport.send(this->id(), slots_[group.slots[replica]], assignment);
   }
-  sessions_.push_back(SessionSlot{std::move(session), {}});
+  sessions_.push_back(std::move(session));
   // Some schemes speak first from the supervisor side; flush any opening
   // messages right behind the assignments.
-  drain(*sessions_.back().session, transport);
+  drain(*sessions_.back(), transport);
 }
 
 void SupervisorNode::start(Transport& transport) {
@@ -126,8 +125,8 @@ void SupervisorNode::replace_slot(std::size_t slot_index, GridNodeId peer,
     // assignment so the replacement attempt starts computing at the first
     // unverified epoch instead of redoing acknowledged work (or idling
     // until the quiescence retry re-assigns the whole group).
-    const SessionSlot& slot = sessions_[state.session_index];
-    const auto epoch = slot.session->resume_epoch(id);
+    const SupervisorSession& session = *sessions_[state.session_index];
+    const auto epoch = session.resume_epoch(id);
     if (!epoch.has_value()) {
       continue;  // one-shot scheme: nothing to resume mid-protocol
     }
@@ -139,7 +138,7 @@ void SupervisorNode::replace_slot(std::size_t slot_index, GridNodeId peer,
     assignment.workload = plan_.workload;
     assignment.workload_seed = plan_.workload_seed;
     assignment.scheme = plan_.scheme;
-    assignment.ringer_images = slot.session->planted_images(id);
+    assignment.ringer_images = session.planted_images(id);
     transport->send(this->id(), peer, assignment);
   }
 }
@@ -228,49 +227,9 @@ void SupervisorNode::on_message(GridNodeId from, const Message& message,
   if (!scheme_message.has_value()) {
     return;  // grid-only traffic a supervisor never consumes
   }
-  SessionSlot& slot = sessions_[state.session_index];
-  if (parallel_pump()) {
-    // Defer into the session's shard; flush() verifies all shards
-    // concurrently once the network queue drains.
-    slot.inbox.emplace_back(id, std::move(*scheme_message));
-    return;
-  }
-  slot.session->on_message(id, *scheme_message);
-  drain(*slot.session, transport);
-}
-
-bool SupervisorNode::flush(Transport& transport) {
-  if (!parallel_pump()) {
-    return false;
-  }
-  pending_.clear();
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    if (!sessions_[i].inbox.empty()) {
-      pending_.push_back(i);
-    }
-  }
-  if (pending_.empty()) {
-    return false;
-  }
-  // Sessions are independent (per-group state; the shared verifier counts
-  // atomically), so shards verify concurrently. Each session consumes its
-  // inbox in arrival order and queues outputs internally.
-  parallel_for(
-      0, pending_.size(),
-      [this](std::uint64_t k) {
-        SessionSlot& slot = sessions_[pending_[k]];
-        for (auto& [task, message] : slot.inbox) {
-          slot.session->on_message(task, message);
-        }
-      },
-      plan_.pump_threads);
-  // Serial, session-ordered merge keeps messages, verdicts, and hits
-  // deterministic regardless of thread count.
-  for (const std::size_t i : pending_) {
-    sessions_[i].inbox.clear();
-    drain(*sessions_[i].session, transport);
-  }
-  return true;
+  SupervisorSession& session = *sessions_[state.session_index];
+  session.on_message(id, *scheme_message);
+  drain(session, transport);
 }
 
 bool SupervisorNode::on_quiescent(Transport& transport) {
@@ -337,8 +296,8 @@ bool SupervisorNode::done() const {
 
 std::uint64_t SupervisorNode::results_verified() const {
   std::uint64_t total = 0;
-  for (const SessionSlot& slot : sessions_) {
-    total += slot.session->results_verified();
+  for (const auto& session : sessions_) {
+    total += session->results_verified();
   }
   return total;
 }

@@ -43,14 +43,6 @@ class SupervisorNode final : public GridNode {
     // screens the uploaded results itself. Suppressed discoveries remain
     // unrecoverable under commitment schemes (the documented CBS gap).
     bool validate_reported_hits = true;
-    // Session-pump concurrency. 1 (default) verifies inline as messages
-    // arrive — the historical serial behavior. Any other value (0 = hardware
-    // concurrency) defers scheme messages into per-session inboxes and
-    // drains them in parallel when the network goes quiet: sessions are
-    // sharded per assignment group and share no mutable state, and outputs
-    // merge serially in session order, so verdicts, metrics, and reputation
-    // inputs are byte-identical to the serial pump (pinned by golden test).
-    unsigned pump_threads = 1;
     // Re-assignments per group before its unsettled tasks abort. Only
     // reachable when traffic is actually lost (faults/churn); fault-free
     // runs never time out.
@@ -66,13 +58,9 @@ class SupervisorNode final : public GridNode {
   // Sends out all assignments. Call once, before the network runs.
   void start(Transport& transport);
 
+  // Verifies each message inline, as it arrives.
   void on_message(GridNodeId from, const Message& message,
                   Transport& transport) override;
-
-  // Parallel session pump: drains every non-empty session inbox over
-  // parallel_for, then merges outputs in session order. No-op (returns
-  // false) under the serial pump or when nothing is buffered.
-  bool flush(Transport& transport) override;
 
   // Timeout/retry: re-assigns or aborts groups stuck without verdicts.
   bool on_quiescent(Transport& transport) override;
@@ -112,7 +100,7 @@ class SupervisorNode final : public GridNode {
   // Frames the stale-traffic guard dropped: unknown/retired task ids, plus
   // anything arriving from other than the task's current peer (late frames
   // from a superseded pre-retry attempt, spoofed senders). Observability
-  // for what was previously a silent drop — a rising counter during a
+  // for what was previously a silent drop — a rising counter in a
   // fault-free run means misrouted or forged traffic.
   std::uint64_t stale_frames_dropped() const { return stale_frames_dropped_; }
 
@@ -143,15 +131,6 @@ class SupervisorNode final : public GridNode {
     std::vector<ScreenerHit> hits;
   };
 
-  // One assignment group's session plus its deferred-message inbox (parallel
-  // pump only). Inbox order preserves arrival order across the group's
-  // tasks, so a session sees the exact message sequence the serial pump
-  // would feed it.
-  struct SessionSlot {
-    std::unique_ptr<SupervisorSession> session;
-    std::vector<std::pair<TaskId, SchemeMessage>> inbox;
-  };
-
   // A replica group across retries: current attempt's task ids and slot
   // assignments. Sessions of superseded attempts stay in sessions_ (their
   // task states drop all traffic) so session indices remain stable.
@@ -161,8 +140,6 @@ class SupervisorNode final : public GridNode {
     std::vector<std::size_t> slots;  // index into slots_ per replica
     std::size_t retries = 0;
   };
-
-  bool parallel_pump() const { return plan_.pump_threads != 1; }
 
   Task task_for(TaskId id, const Domain& domain) const;
   void settle(TaskState& state, Verdict verdict, Transport& transport);
@@ -182,9 +159,9 @@ class SupervisorNode final : public GridNode {
   std::shared_ptr<CountingComputeFunction> counting_f_;
   std::shared_ptr<const ResultVerifier> verifier_;
   Rng rng_;
-  std::vector<SessionSlot> sessions_;
+  // One session per assignment group and attempt.
+  std::vector<std::unique_ptr<SupervisorSession>> sessions_;
   std::vector<GroupState> groups_;
-  std::vector<std::size_t> pending_;  // flush worklist, reused across rounds
   std::map<TaskId, TaskState> tasks_;
   std::uint64_t next_task_ = 1;
   std::uint64_t tasks_reassigned_ = 0;

@@ -55,21 +55,12 @@ class GridNode {
   virtual void on_message(GridNodeId from, const Message& message,
                           Transport& transport) = 0;
 
-  // Called by the transport whenever its delivery queue drains. Nodes that
-  // buffer work across deliveries (the supervisor's parallel session pump)
-  // process it here and return true; the default does nothing. Transports
-  // keep alternating deliver/flush until both go quiet.
-  virtual bool flush(Transport& transport) {
-    (void)transport;
-    return false;
-  }
-
   // Called when this node crashes (fault injection, or a real process
   // restart): all in-progress protocol state must be discarded.
   virtual void on_crash() {}
 
-  // The transport's timeout signal: deliveries, flushes, and any delayed
-  // frames are all exhausted (SimTransport), or the link has been idle past
+  // The transport's timeout signal: deliveries and any delayed frames are
+  // all exhausted (SimTransport), or the link has been idle past
   // the quiescence timeout (TcpTransport). Nodes with unresolved work (the
   // supervisor's retry/re-assignment logic) act here and return true to
   // keep the run going; returning false everywhere ends the run.
@@ -98,32 +89,15 @@ class GridNode {
 // Threading contract (what protocol code may assume, what transports must
 // guarantee):
 //
-//   1. Every GridNode callback — on_message, flush, on_quiescent, on_crash —
-//      fires on ONE thread, the protocol thread (the caller of SimTransport's
-//      delivery loop, or the thread inside TcpTransport::run()). Nodes never
-//      need their own locking; a node's state is only ever touched from that
-//      thread.
+//   1. Every GridNode callback — on_message, on_quiescent, on_crash — fires
+//      on ONE thread, the protocol thread (the caller of SimTransport's
+//      delivery loop, or of TcpTransport::run()). Nodes never need their own
+//      locking; a node's state is only ever touched from that thread.
 //   2. send() and stats() are protocol-thread-only. Calling send() from any
 //      other thread is a contract violation, not a supported path: transports
 //      are free to touch unsynchronized per-peer state (write queues, stats
 //      maps) inside send(). Callbacks may call send() freely — they are
 //      already on the protocol thread.
-//   3. Transports MAY run I/O on other threads. TcpTransport in multi-loop
-//      mode owns each accepted peer on exactly one of N event-loop threads
-//      (reads, writes, and timers for that fd happen only there) and hands
-//      decoded messages to the protocol thread through a mailbox; replies
-//      queued by send() travel back to the owning loop the same way. Peer
-//      ownership never migrates between loops for the life of a connection.
-//      This holds for every readiness backend, io_uring included: a loop's
-//      ring is single-owner like its epoll/poll set, submissions and
-//      completions for a peer's fd are issued and reaped only on the owning
-//      loop thread, and batched vectored writes flush on that thread — so
-//      no completion, partial write, or buffer recycle ever touches a peer
-//      from anywhere but its owner.
-//   4. The narrow exception: TcpTransport::AuthOptions::is_banned runs on a
-//      loop thread (it gates the handshake before a peer exists to the
-//      protocol layer), so that callback must be thread-safe. Everything
-//      else the grid layer supplies stays on the protocol thread.
 class Transport {
  public:
   virtual ~Transport() = default;

@@ -24,8 +24,8 @@ namespace ugc {
 // rco = m·2^ℓ / |D| = 2m / S, with S = 2^(H−ℓ+1) the stored node count.
 class PartialMerkleTree {
  public:
-  // Supplies Φ(L_i) = f(x_i) for any leaf index; called once per leaf during
-  // build and again for every leaf of a rebuilt subtree during prove().
+  // Supplies Φ(L_i) = f(x_i) for any leaf index; called once per leaf in
+  // build() and again for every leaf of a rebuilt subtree in prove().
   using LeafProvider = std::function<Bytes(LeafIndex)>;
 
   // Builds the commitment, storing only nodes at height >= subtree_height (ℓ).

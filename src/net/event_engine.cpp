@@ -10,15 +10,7 @@
 
 #ifdef __linux__
 #include <sys/epoll.h>
-#include <sys/syscall.h>
 #include <unistd.h>
-#if __has_include(<linux/io_uring.h>)
-#include <linux/io_uring.h>
-#include <sys/mman.h>
-#if defined(__NR_io_uring_setup) && defined(__NR_io_uring_enter)
-#define UGC_HAVE_IO_URING 1
-#endif
-#endif
 #endif
 
 namespace ugc::net {
@@ -109,337 +101,6 @@ class EpollEngine final : public EventEngine {
   std::vector<epoll_event> events_;
   std::size_t watched_ = 0;
 };
-
-#ifdef UGC_HAVE_IO_URING
-
-int io_uring_setup_sys(unsigned entries, io_uring_params* params) {
-  return static_cast<int>(::syscall(__NR_io_uring_setup, entries, params));
-}
-
-int io_uring_enter_sys(int ring_fd, unsigned to_submit, unsigned min_complete,
-                       unsigned flags, const void* arg, std::size_t arg_size) {
-  return static_cast<int>(::syscall(__NR_io_uring_enter, ring_fd, to_submit,
-                                    min_complete, flags, arg, arg_size));
-}
-
-// io_uring in readiness mode: the engine keeps one *one-shot*
-// IORING_OP_POLL_ADD in flight per watched fd and re-arms it at the top of
-// every wait(). Re-arming before the sleep is what preserves the
-// level-trigger contract the transport relies on — a poll over a
-// still-readable fd completes inline during io_uring_enter, so buffered
-// bytes re-report every round exactly as they do under epoll/poll.
-//
-// Completions are matched back to fds through a generation tag (`seq`):
-// every armed poll gets a fresh user_data, and a completion whose tag is no
-// longer the fd's current one is stale (the watch was modified, removed, or
-// the fd slot was reused by a new connection) and is dropped on the floor.
-// modify()/remove() cancel the in-flight poll with IORING_OP_POLL_REMOVE so
-// the kernel never holds a reference to a file the transport has closed.
-class UringEngine final : public EventEngine {
- public:
-  UringEngine() {
-    io_uring_params params{};
-    // A modest SQ is plenty: push_sqe flushes with a bare enter when it
-    // fills, and the CQ (sized 2× by the kernel) can't drop completions
-    // under IORING_FEAT_NODROP, which uring_supported() requires.
-    unsigned entries = 1024;
-    for (;;) {
-      std::memset(&params, 0, sizeof(params));
-      ring_fd_ = io_uring_setup_sys(entries, &params);
-      if (ring_fd_ >= 0) {
-        break;
-      }
-      if (errno == ENOMEM && entries > 8) {
-        entries /= 4;  // constrained container; a smaller ring still works
-        continue;
-      }
-      throw SocketError(concat("io_uring_setup: ", std::strerror(errno)));
-    }
-    const unsigned need = IORING_FEAT_NODROP | IORING_FEAT_EXT_ARG;
-    if ((params.features & need) != need) {
-      ::close(ring_fd_);
-      throw SocketError(
-          "io_uring lacks NODROP/EXT_ARG (kernel too old for this engine)");
-    }
-    sq_entries_ = params.sq_entries;
-    cq_entries_ = params.cq_entries;
-    sq_ring_size_ = params.sq_off.array + params.sq_entries * sizeof(unsigned);
-    cq_ring_size_ =
-        params.cq_off.cqes + params.cq_entries * sizeof(io_uring_cqe);
-    single_mmap_ = (params.features & IORING_FEAT_SINGLE_MMAP) != 0;
-    if (single_mmap_) {
-      sq_ring_size_ = cq_ring_size_ = std::max(sq_ring_size_, cq_ring_size_);
-    }
-    sq_ring_ = map_ring(sq_ring_size_, IORING_OFF_SQ_RING);
-    cq_ring_ = single_mmap_ ? sq_ring_
-                            : map_ring(cq_ring_size_, IORING_OFF_CQ_RING);
-    sqe_size_ = params.sq_entries * sizeof(io_uring_sqe);
-    sqes_ = static_cast<io_uring_sqe*>(map_ring(sqe_size_, IORING_OFF_SQES));
-
-    auto* sq = static_cast<std::uint8_t*>(sq_ring_);
-    sq_head_ = reinterpret_cast<unsigned*>(sq + params.sq_off.head);
-    sq_tail_ = reinterpret_cast<unsigned*>(sq + params.sq_off.tail);
-    sq_mask_ = *reinterpret_cast<unsigned*>(sq + params.sq_off.ring_mask);
-    sq_array_ = reinterpret_cast<unsigned*>(sq + params.sq_off.array);
-    auto* cq = static_cast<std::uint8_t*>(cq_ring_);
-    cq_head_ = reinterpret_cast<unsigned*>(cq + params.cq_off.head);
-    cq_tail_ = reinterpret_cast<unsigned*>(cq + params.cq_off.tail);
-    cq_mask_ = *reinterpret_cast<unsigned*>(cq + params.cq_off.ring_mask);
-    cqes_ = reinterpret_cast<io_uring_cqe*>(cq + params.cq_off.cqes);
-  }
-
-  ~UringEngine() override { cleanup(); }
-
-  void add(int fd, std::uint64_t token, Interest interest) override {
-    check(watches_.find(fd) == watches_.end(), "UringEngine::add: fd ", fd,
-          " already registered");
-    watches_.emplace(fd, Watch{token, interest, 0});
-  }
-
-  void modify(int fd, std::uint64_t token, Interest interest) override {
-    const auto it = watches_.find(fd);
-    check(it != watches_.end(), "UringEngine::modify: fd ", fd,
-          " not registered");
-    Watch& watch = it->second;
-    watch.token = token;
-    if (watch.interest != interest && watch.armed_seq != 0) {
-      // Interest changed under an in-flight poll: cancel it; the next
-      // wait() re-arms with the new mask. (A token-only change needs no
-      // cancel — completions resolve the token through the watch.)
-      cancel_armed(watch);
-    }
-    watch.interest = interest;
-  }
-
-  void remove(int fd) override {
-    const auto it = watches_.find(fd);
-    if (it == watches_.end()) {
-      return;
-    }
-    if (it->second.armed_seq != 0) {
-      cancel_armed(it->second);
-    }
-    watches_.erase(it);
-    // Submit the cancel (and any queued ones from earlier modifies) NOW,
-    // not at the next wait: an in-flight poll holds a kernel reference to
-    // the file, and the caller is about to close() the fd expecting the
-    // peer to see FIN. Without this flush a torn-down transport can leave
-    // every connection ESTABLISHED from the remote's point of view.
-    flush_submissions();
-  }
-
-  std::size_t wait(int timeout_ms, std::vector<ReadyEvent>& out) override {
-    out.clear();
-    // Re-arm before sleeping: any watch whose poll completed (or that was
-    // just added/modified) gets a fresh one-shot poll. A still-ready fd's
-    // poll completes inline inside the enter below, so it cannot be missed.
-    for (auto& [fd, watch] : watches_) {
-      if (watch.armed_seq != 0 || watch.interest == Interest::kNone) {
-        continue;
-      }
-      io_uring_sqe* sqe = push_sqe();
-      const std::uint64_t seq = next_seq_++;
-      sqe->opcode = IORING_OP_POLL_ADD;
-      sqe->fd = fd;
-      sqe->poll_events = poll_mask(watch.interest);
-      sqe->user_data = seq;
-      watch.armed_seq = seq;
-      armed_.emplace(seq, fd);
-    }
-
-    const unsigned to_submit = pending_sqes();
-    int ret;
-    if (timeout_ms < 0) {
-      ret = io_uring_enter_sys(ring_fd_, to_submit, 1, IORING_ENTER_GETEVENTS,
-                               nullptr, 0);
-    } else {
-      __kernel_timespec ts{};
-      ts.tv_sec = timeout_ms / 1000;
-      ts.tv_nsec = (timeout_ms % 1000) * 1000000LL;
-      io_uring_getevents_arg arg{};
-      arg.ts = reinterpret_cast<std::uintptr_t>(&ts);
-      ret = io_uring_enter_sys(
-          ring_fd_, to_submit, 1,
-          IORING_ENTER_GETEVENTS | IORING_ENTER_EXT_ARG, &arg, sizeof(arg));
-    }
-    if (ret < 0 && errno != ETIME && errno != EINTR && errno != EBUSY) {
-      throw SocketError(concat("io_uring_enter: ", std::strerror(errno)));
-    }
-    drain_cq(out);
-    return out.size();
-  }
-
-  std::size_t watched() const override { return watches_.size(); }
-  const char* name() const override { return "uring"; }
-
- private:
-  struct Watch {
-    std::uint64_t token = 0;
-    Interest interest = Interest::kNone;
-    std::uint64_t armed_seq = 0;  // user_data of the in-flight poll; 0 = none
-  };
-
-  // Sentinel user_data for POLL_REMOVE completions (never a poll tag:
-  // next_seq_ starts at 1 and counts up).
-  static constexpr std::uint64_t kCancelData = ~std::uint64_t{0};
-
-  // Idempotent teardown shared by the destructor and the constructor's
-  // partial-failure path (a throwing ctor never runs the dtor).
-  void cleanup() {
-    if (sqes_ != nullptr) {
-      ::munmap(sqes_, sqe_size_);
-      sqes_ = nullptr;
-    }
-    if (cq_ring_ != nullptr && cq_ring_ != sq_ring_) {
-      ::munmap(cq_ring_, cq_ring_size_);
-    }
-    cq_ring_ = nullptr;
-    if (sq_ring_ != nullptr) {
-      ::munmap(sq_ring_, sq_ring_size_);
-      sq_ring_ = nullptr;
-    }
-    if (ring_fd_ >= 0) {
-      ::close(ring_fd_);
-      ring_fd_ = -1;
-    }
-  }
-
-  void* map_ring(std::size_t size, off_t offset) {
-    void* ptr = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
-                       MAP_SHARED | MAP_POPULATE, ring_fd_, offset);
-    if (ptr == MAP_FAILED) {
-      const int saved = errno;
-      cleanup();
-      throw SocketError(concat("io_uring mmap: ", std::strerror(saved)));
-    }
-    return ptr;
-  }
-
-  static unsigned short poll_mask(Interest interest) {
-    unsigned short mask = 0;
-    if (wants_read(interest)) {
-      mask |= POLLIN;
-    }
-    if (wants_write(interest)) {
-      mask |= POLLOUT;
-    }
-    return mask;
-  }
-
-  unsigned pending_sqes() const {
-    return *sq_tail_ - __atomic_load_n(sq_head_, __ATOMIC_ACQUIRE);
-  }
-
-  io_uring_sqe* push_sqe() {
-    if (pending_sqes() == sq_entries_) {
-      // SQ full: flush what's queued with a submit-only enter.
-      const int ret = io_uring_enter_sys(ring_fd_, sq_entries_, 0, 0, nullptr,
-                                         0);
-      if (ret < 0 && errno != EINTR && errno != EBUSY) {
-        throw SocketError(
-            concat("io_uring_enter(flush): ", std::strerror(errno)));
-      }
-      check(pending_sqes() < sq_entries_,
-            "io_uring submission queue stuck full");
-    }
-    const unsigned tail = *sq_tail_;
-    const unsigned index = tail & sq_mask_;
-    io_uring_sqe* sqe = &sqes_[index];
-    std::memset(sqe, 0, sizeof(*sqe));
-    sq_array_[index] = index;
-    __atomic_store_n(sq_tail_, tail + 1, __ATOMIC_RELEASE);
-    return sqe;
-  }
-
-  void cancel_armed(Watch& watch) {
-    io_uring_sqe* sqe = push_sqe();
-    sqe->opcode = IORING_OP_POLL_REMOVE;
-    sqe->fd = -1;
-    sqe->addr = watch.armed_seq;  // target poll, by its user_data
-    sqe->user_data = kCancelData;
-    armed_.erase(watch.armed_seq);
-    watch.armed_seq = 0;
-  }
-
-  // Submit-only enter: pushes every queued SQE to the kernel without
-  // reaping completions (those drain at the next wait, where stale
-  // generations are dropped). Poll add/remove ops execute inline during
-  // submission, so cancels take effect before this returns.
-  void flush_submissions() {
-    const unsigned pending = pending_sqes();
-    if (pending == 0) {
-      return;
-    }
-    const int ret = io_uring_enter_sys(ring_fd_, pending, 0, 0, nullptr, 0);
-    if (ret < 0 && errno != EINTR && errno != EBUSY) {
-      throw SocketError(
-          concat("io_uring_enter(flush): ", std::strerror(errno)));
-    }
-  }
-
-  void drain_cq(std::vector<ReadyEvent>& out) {
-    unsigned head = *cq_head_;
-    const unsigned tail = __atomic_load_n(cq_tail_, __ATOMIC_ACQUIRE);
-    while (head != tail) {
-      const io_uring_cqe& cqe = cqes_[head & cq_mask_];
-      ++head;
-      if (cqe.user_data == kCancelData) {
-        continue;  // POLL_REMOVE outcome; nothing to report
-      }
-      const auto armed = armed_.find(cqe.user_data);
-      if (armed == armed_.end()) {
-        continue;  // stale generation: watch modified/removed meanwhile
-      }
-      const int fd = armed->second;
-      armed_.erase(armed);
-      const auto it = watches_.find(fd);
-      if (it == watches_.end() || it->second.armed_seq != cqe.user_data) {
-        continue;
-      }
-      it->second.armed_seq = 0;  // completed; wait() re-arms next round
-      ReadyEvent event;
-      event.token = it->second.token;
-      if (cqe.res < 0) {
-        if (cqe.res == -ECANCELED) {
-          continue;  // canceled poll that raced its own completion
-        }
-        event.error = true;  // poll itself failed (e.g. EBADF): surface it
-      } else {
-        const auto revents = static_cast<unsigned>(cqe.res);
-        event.readable = (revents & POLLIN) != 0;
-        event.writable = (revents & POLLOUT) != 0;
-        event.error = (revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      }
-      out.push_back(event);
-    }
-    __atomic_store_n(cq_head_, head, __ATOMIC_RELEASE);
-  }
-
-  int ring_fd_ = -1;
-  void* sq_ring_ = nullptr;
-  void* cq_ring_ = nullptr;
-  io_uring_sqe* sqes_ = nullptr;
-  std::size_t sq_ring_size_ = 0;
-  std::size_t cq_ring_size_ = 0;
-  std::size_t sqe_size_ = 0;
-  bool single_mmap_ = false;
-  unsigned sq_entries_ = 0;
-  unsigned cq_entries_ = 0;
-  unsigned* sq_head_ = nullptr;
-  unsigned* sq_tail_ = nullptr;
-  unsigned sq_mask_ = 0;
-  unsigned* sq_array_ = nullptr;
-  unsigned* cq_head_ = nullptr;
-  unsigned* cq_tail_ = nullptr;
-  unsigned cq_mask_ = 0;
-  io_uring_cqe* cqes_ = nullptr;
-
-  std::unordered_map<int, Watch> watches_;
-  std::unordered_map<std::uint64_t, int> armed_;  // poll user_data -> fd
-  std::uint64_t next_seq_ = 1;
-};
-
-#endif  // UGC_HAVE_IO_URING
 
 #endif  // __linux__
 
@@ -538,35 +199,9 @@ bool epoll_supported() {
 #endif
 }
 
-bool uring_supported() {
-#ifdef UGC_HAVE_IO_URING
-  // Probe once by standing up a tiny ring: the syscall existing is not
-  // enough (seccomp filters and kernel.io_uring_disabled both surface here
-  // as a setup failure), and the engine needs lossless completions
-  // (IORING_FEAT_NODROP, 5.5+) plus timed waits (IORING_FEAT_EXT_ARG,
-  // 5.11+).
-  static const bool supported = [] {
-    io_uring_params params{};
-    const int fd = io_uring_setup_sys(8, &params);
-    if (fd < 0) {
-      return false;
-    }
-    ::close(fd);
-    const unsigned need = IORING_FEAT_NODROP | IORING_FEAT_EXT_ARG;
-    return (params.features & need) == need;
-  }();
-  return supported;
-#else
-  return false;
-#endif
-}
-
 EngineBackend parse_engine_backend(const std::string& name) {
   if (name == "auto") {
     return EngineBackend::kAuto;
-  }
-  if (name == "uring") {
-    return EngineBackend::kUring;
   }
   if (name == "epoll") {
     return EngineBackend::kEpoll;
@@ -575,15 +210,13 @@ EngineBackend parse_engine_backend(const std::string& name) {
     return EngineBackend::kPoll;
   }
   throw Error(concat("unknown event engine '", name,
-                     "' (auto | uring | epoll | poll)"));
+                     "' (auto | epoll | poll)"));
 }
 
 const char* to_string(EngineBackend backend) {
   switch (backend) {
     case EngineBackend::kAuto:
       return "auto";
-    case EngineBackend::kUring:
-      return "uring";
     case EngineBackend::kEpoll:
       return "epoll";
     case EngineBackend::kPoll:
@@ -593,25 +226,6 @@ const char* to_string(EngineBackend backend) {
 }
 
 std::unique_ptr<EventEngine> make_event_engine(EngineBackend backend) {
-#ifdef UGC_HAVE_IO_URING
-  if (backend == EngineBackend::kUring) {
-    check(uring_supported(),
-          "event engine 'uring' is not supported on this kernel "
-          "(io_uring missing, disabled, or pre-5.11)");
-    return std::make_unique<UringEngine>();
-  }
-  if (backend == EngineBackend::kAuto && uring_supported()) {
-    try {
-      return std::make_unique<UringEngine>();
-    } catch (const SocketError&) {
-      // The probe passed but a full-size ring failed (e.g. a locked-memory
-      // limit): auto means best *available* — fall through to epoll.
-    }
-  }
-#else
-  check(backend != EngineBackend::kUring,
-        "event engine 'uring' is not supported by this build/platform");
-#endif
 #ifdef __linux__
   if (backend == EngineBackend::kAuto || backend == EngineBackend::kEpoll) {
     return std::make_unique<EpollEngine>();

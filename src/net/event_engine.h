@@ -1,34 +1,24 @@
 #pragma once
 
-// Readiness engine behind the TCP event loops (see net/frame.h for the
+// Readiness engine behind the TCP event loop (see net/frame.h for the
 // src/net layering note): a registered set of fds, each carrying a caller
 // token, and a wait() that reports only the fds that are actually ready.
 //
-// Three backends ship, selected at runtime (make_event_engine):
+// One backend per platform, chosen by make_event_engine:
 //
-//   UringEngine — Linux io_uring in readiness mode (raw syscalls, no
-//     liburing dependency): every watched fd keeps a one-shot
-//     IORING_OP_POLL_ADD in flight, re-armed at the top of each wait(), so
-//     a still-ready fd completes again immediately — the same level-trigger
-//     contract as the other two backends, with registration changes and the
-//     wait itself collapsing into a single io_uring_enter syscall per round.
-//     Probed at runtime (uring_supported); kernels without io_uring (or
-//     with it seccomp/sysctl-disabled) fall back under kAuto.
 //   EpollEngine — Linux epoll, level-triggered. Registration lives in the
 //     kernel, so wait() costs O(ready): with ten thousand idle workers and
 //     three active ones, the loop touches three. Level-trigger (rather than
 //     EPOLLET) keeps the readiness contract identical to poll()'s — the
 //     transport's fairness bound may leave bytes buffered in a socket and
-//     relies on being re-woken for them — so the backends are behaviorally
-//     interchangeable and the whole net test suite runs over all of them.
-//   PollEngine — portable poll(2) over a persistent pollfd array. The
-//     kernel re-scans every registered fd per wait (O(watched)), which is
-//     exactly the cost curve the epoll backend exists to remove; it remains
-//     the fallback for hosts without epoll and the baseline the gridload
-//     bench measures epoll against.
+//     relies on being re-woken for them.
+//   PollEngine — portable poll(2) over a persistent pollfd array, the
+//     backend everywhere else. The kernel re-scans every registered fd per
+//     wait (O(watched)). Linux runs the whole net test suite over it too
+//     (UGC_NET_ENGINE=poll), so the two stay behaviorally interchangeable.
 //
-// Engines are single-owner, no internal locking: one engine per event-loop
-// thread, same discipline as FrameDecoder.
+// Engines are single-owner, no internal locking, same discipline as
+// FrameDecoder.
 
 #include <cstdint>
 #include <memory>
@@ -94,8 +84,7 @@ class EventEngine {
 };
 
 enum class EngineBackend {
-  kAuto,   // io_uring where the kernel has it, else epoll, else poll
-  kUring,  // require io_uring; make_event_engine throws where unsupported
+  kAuto,   // epoll on Linux, poll elsewhere
   kEpoll,  // require epoll; make_event_engine throws where unsupported
   kPoll,   // force the portable fallback
 };
@@ -103,15 +92,7 @@ enum class EngineBackend {
 // True when this build can construct the epoll backend.
 bool epoll_supported();
 
-// True when this kernel can construct the io_uring backend: probed once by
-// actually setting up (and tearing down) a tiny ring, so a kernel that has
-// the syscall but refuses it (seccomp, kernel.io_uring_disabled) or lacks
-// the features the engine needs (NODROP, EXT_ARG) reports false and kAuto
-// falls back to epoll.
-bool uring_supported();
-
-// Parses "auto" | "uring" | "epoll" | "poll" (the --engine flag value);
-// throws on anything else.
+// Parses "auto" | "epoll" | "poll"; throws on anything else.
 EngineBackend parse_engine_backend(const std::string& name);
 const char* to_string(EngineBackend backend);
 

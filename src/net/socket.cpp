@@ -47,8 +47,8 @@ void Socket::close() {
   }
 }
 
-Socket tcp_listen(const std::string& host, std::uint16_t port, int backlog,
-                  bool reuse_port) {
+Socket tcp_listen(const std::string& host, std::uint16_t port,
+                  int backlog) {
   Socket socket(::socket(AF_INET, SOCK_STREAM, 0));
   if (!socket.valid()) {
     fail("socket");
@@ -58,16 +58,6 @@ Socket tcp_listen(const std::string& host, std::uint16_t port, int backlog,
   if (::setsockopt(socket.fd(), SOL_SOCKET, SO_REUSEADDR, &one,
                    sizeof(one)) < 0) {
     fail("setsockopt(SO_REUSEADDR)");
-  }
-  if (reuse_port) {
-#ifdef SO_REUSEPORT
-    if (::setsockopt(socket.fd(), SOL_SOCKET, SO_REUSEPORT, &one,
-                     sizeof(one)) < 0) {
-      fail("setsockopt(SO_REUSEPORT)");
-    }
-#else
-    throw SocketError("SO_REUSEPORT is not supported on this platform");
-#endif
   }
   const sockaddr_in address = make_address(host, port);
   if (::bind(socket.fd(), reinterpret_cast<const sockaddr*>(&address),
@@ -91,12 +81,25 @@ std::uint16_t local_port(const Socket& socket) {
   return ntohs(address.sin_port);
 }
 
-Socket tcp_accept(const Socket& listener) {
+Socket tcp_accept(const Socket& listener, bool* exhausted) {
+  if (exhausted != nullptr) {
+    *exhausted = false;
+  }
   const int fd = ::accept(listener.fd(), nullptr, nullptr);
   if (fd < 0) {
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR ||
         errno == ECONNABORTED) {
       return Socket();  // nothing to accept right now
+    }
+    if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+        errno == ENOMEM) {
+      // Out of descriptors or memory: the connection stays queued. Any
+      // client can cause this by opening enough connections, so it is a
+      // condition to wait out, not a failure of the listener.
+      if (exhausted != nullptr) {
+        *exhausted = true;
+        return Socket();
+      }
     }
     fail("accept");
   }
@@ -144,32 +147,6 @@ IoResult read_some(const Socket& socket, std::span<std::uint8_t> buffer) {
     return {IoStatus::kWouldBlock, 0};
   }
   return {IoStatus::kError, 0};
-}
-
-bool reuse_port_supported() {
-#ifdef SO_REUSEPORT
-  return true;
-#else
-  return false;
-#endif
-}
-
-std::pair<Socket, Socket> make_wake_pipe() {
-  int fds[2];
-  if (::pipe(fds) < 0) {
-    fail("pipe");
-  }
-  Socket read_end(fds[0]);
-  Socket write_end(fds[1]);
-  set_nonblocking(read_end.fd());
-  set_nonblocking(write_end.fd());
-  return {std::move(read_end), std::move(write_end)};
-}
-
-void drain_wake_pipe(const Socket& read_end) {
-  std::uint8_t buffer[256];
-  while (::read(read_end.fd(), buffer, sizeof(buffer)) > 0) {
-  }
 }
 
 IoResult write_some(const Socket& socket, BytesView data) {

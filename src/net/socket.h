@@ -2,8 +2,8 @@
 
 // POSIX TCP sockets behind a small RAII surface (see net/frame.h for the
 // src/net layering note). Everything is IPv4 + non-blocking: the event loop
-// in tcp_transport.h multiplexes with poll(), so no call here may ever
-// block — connect() is the one exception (a client start-up, not a loop
+// in tcp_transport.h multiplexes with an event engine, so no call here may
+// ever block — connect() is the one exception (a client start-up, not a loop
 // operation) and says so.
 
 #include <cstdint>
@@ -65,25 +65,19 @@ struct IoResult {
 };
 
 // Binds and listens on `host`:`port` (port 0 = ephemeral), returning a
-// non-blocking listener. Throws SocketError on failure. With `reuse_port`
-// the listener is bound SO_REUSEPORT, so several listeners can share one
-// port and the kernel load-balances accepts across them — the sharded
-// accept path of the multi-loop transport (one listener per event loop, no
-// accept lock, no thundering herd).
+// non-blocking listener. Throws SocketError on failure.
 Socket tcp_listen(const std::string& host, std::uint16_t port,
-                  int backlog = 64, bool reuse_port = false);
-
-// Whether this platform accepted a SO_REUSEPORT bind at least once (probed
-// lazily by the transport; kernels without it fall back to a single
-// accepting loop that hands sockets off).
-bool reuse_port_supported();
+                  int backlog = 64);
 
 // The port a listener actually bound (resolves port 0).
 std::uint16_t local_port(const Socket& socket);
 
 // Accepts one pending connection as a non-blocking socket, or an invalid
-// Socket when the queue is empty. Throws SocketError on hard failures.
-Socket tcp_accept(const Socket& listener);
+// Socket when none can be taken now. That is either an empty queue or, with
+// `*exhausted` set to true, a process out of descriptors or a kernel out of
+// socket memory (EMFILE, ENFILE, ENOBUFS, ENOMEM): the connection stays
+// queued for a later call. Throws SocketError on other failures.
+Socket tcp_accept(const Socket& listener, bool* exhausted = nullptr);
 
 // Connects to `host`:`port`. Blocks until established (this is client
 // start-up, before the event loop runs), then switches the socket to
@@ -103,15 +97,5 @@ IoResult write_some(const Socket& socket, BytesView data);
 // count, and the caller resumes from wherever the kernel stopped.
 IoResult write_vec(const Socket& socket, const struct iovec* iov,
                    std::size_t count);
-
-// A non-blocking self-pipe: `first` is the read end, `second` the write
-// end. The multi-loop transport registers the read end with each loop's
-// event engine and pokes the write end to wake a sleeping loop (mailbox
-// submissions from the protocol thread). Writes that find the pipe full
-// are dropped — a full pipe already guarantees a wakeup is pending.
-std::pair<Socket, Socket> make_wake_pipe();
-
-// Drains every pending byte from a wake pipe's read end.
-void drain_wake_pipe(const Socket& read_end);
 
 }  // namespace ugc::net

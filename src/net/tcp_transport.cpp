@@ -1,7 +1,6 @@
 #include "net/tcp_transport.h"
 
 #include <sys/uio.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -18,10 +17,24 @@ namespace ugc::net {
 
 namespace {
 
-// Engine tokens: peer ids live below 2^32, so the loop-local fds get the
-// space above.
+// Engine tokens: peer ids live below 2^32, so the listener gets the space
+// above.
 constexpr std::uint64_t kListenerToken = std::uint64_t{1} << 32;
-constexpr std::uint64_t kWakeToken = std::uint64_t{1} << 33;
+
+// Timer-wheel granularity; also the accept-retry delay after the process
+// runs out of descriptors.
+constexpr std::uint64_t kTickMs = 10;
+
+// Listen backlog: a thousand workers racing one gridd must queue, not
+// bounce (the kernel clamps to somaxconn).
+constexpr int kListenBacklog = 1024;
+
+// Per-peer write-queue backpressure cap: a peer that stops draining its
+// socket is disconnected once this much is queued for it, instead of
+// buffering without bound. Generous — the largest protocol burst is one
+// batched proof response per in-flight task. Frames themselves are capped
+// at kDefaultMaxFrameSize on both sides (see net/frame.h).
+constexpr std::size_t kMaxWriteBuffer = 32u << 20;
 
 // Vectored-write fan-in: at most this many queued frames join one sendmsg.
 // Comfortably under IOV_MAX everywhere, and past ~64 frames per syscall the
@@ -45,32 +58,19 @@ std::size_t frames_per_write_bucket(std::size_t frames) {
   return frames <= 15 ? 5 : 6;
 }
 
-void poke(const Socket& wake_write) {
-  if (!wake_write.valid()) {
-    return;  // loop threads not running; tasks drain when they start
-  }
-  const std::uint8_t byte = 1;
-  // A full pipe already guarantees a pending wakeup; drop the byte.
-  (void)!::write(wake_write.fd(), &byte, 1);
-}
-
 }  // namespace
 
 TcpTransport::TcpTransport(TcpTransportOptions options)
     : options_(options),
+      engine_(make_event_engine(options.engine)),
+      wheel_(kTickMs),
       epoch_(std::chrono::steady_clock::now()),
+      read_scratch_(64 * 1024),
       quiescence_estimator_(options.quiescence) {
-  const unsigned count = options_.io_threads < 1 ? 1 : options_.io_threads;
-  for (unsigned i = 0; i < count; ++i) {
-    auto loop = std::make_unique<Loop>(TimerWheel(options_.tick_ms));
-    loop->index = i;
-    loop->engine = make_event_engine(options_.engine);
-    loop->read_scratch.resize(64 * 1024);
-    loops_.push_back(std::move(loop));
-  }
+  io_.engine = engine_->name();
 }
 
-TcpTransport::~TcpTransport() { stop_threads(); }
+TcpTransport::~TcpTransport() = default;
 
 std::uint64_t TcpTransport::now_ms() const {
   return static_cast<std::uint64_t>(
@@ -82,44 +82,23 @@ std::uint64_t TcpTransport::now_ms() const {
 GridNodeId TcpTransport::add_local(GridNode& node) {
   check(local_ == nullptr,
         "TcpTransport::add_local: one local protocol node per transport "
-        "(run a second transport for a second node, or clear_local first)");
+        "(run a second transport for a second node)");
   const GridNodeId id{next_id_++};
   assign_id(node, id);
   local_ = &node;
   return id;
 }
 
-void TcpTransport::clear_local() { local_ = nullptr; }
-
 void TcpTransport::listen(const std::string& host, std::uint16_t port) {
-  Loop& first = *loops_[0];
-  check(!first.listener.valid(), "TcpTransport::listen: already listening");
-  check(!threads_started_, "TcpTransport::listen: call before run()");
-  if (threaded() && options_.sharded_accept && reuse_port_supported()) {
-    // Sharded accept: one SO_REUSEPORT listener per loop, the kernel
-    // balances connections across them — no accept lock, no handoff.
-    first.listener = tcp_listen(host, port, options_.listen_backlog, true);
-    const std::uint16_t actual = local_port(first.listener);
-    first.engine->add(first.listener.fd(), kListenerToken, Interest::kRead);
-    for (std::size_t i = 1; i < loops_.size(); ++i) {
-      Loop& loop = *loops_[i];
-      loop.listener = tcp_listen(host, actual, options_.listen_backlog, true);
-      loop.engine->add(loop.listener.fd(), kListenerToken, Interest::kRead);
-    }
-    dispatch_accept_ = false;
-    return;
-  }
-  first.listener = tcp_listen(host, port, options_.listen_backlog);
-  first.engine->add(first.listener.fd(), kListenerToken, Interest::kRead);
-  dispatch_accept_ = threaded();
+  check(!listener_.valid(), "TcpTransport::listen: already listening");
+  listener_ = tcp_listen(host, port, kListenBacklog);
+  engine_->add(listener_.fd(), kListenerToken, Interest::kRead);
 }
 
 std::uint16_t TcpTransport::port() const {
-  check(loops_[0]->listener.valid(), "TcpTransport::port: not listening");
-  return local_port(loops_[0]->listener);
+  check(listener_.valid(), "TcpTransport::port: not listening");
+  return local_port(listener_);
 }
-
-bool TcpTransport::listening() const { return loops_[0]->listener.valid(); }
 
 void TcpTransport::require_auth(AuthOptions options) {
   check(!auth_.has_value(), "TcpTransport::require_auth: already required");
@@ -146,102 +125,64 @@ void TcpTransport::use_identity(const auth::WorkerIdentity& identity,
   agent_ = std::move(agent);
 }
 
-TcpTransport::Loop& TcpTransport::loop_for_new_connection() {
-  if (!threaded()) {
-    return *loops_[0];
-  }
-  return *loops_[next_connect_loop_++ % loops_.size()];
-}
-
 GridNodeId TcpTransport::connect(const std::string& host, std::uint16_t port) {
-  const GridNodeId id{next_id_++};
   Socket socket = tcp_connect(host, port);
-  Loop& loop = loop_for_new_connection();
-  {
-    std::lock_guard<std::mutex> lock(index_mutex_);
-    peer_index_.emplace(id.value, PeerRef{loop.index, true});
-  }
-  if (!threaded()) {
-    adopt_connection(loop, id.value, std::move(socket), false);
-  } else {
-    // std::function requires copyable closures; park the move-only socket
-    // in shared storage for the hop to the owning loop.
-    auto shared = std::make_shared<Socket>(std::move(socket));
-    submit(loop, [this, &loop, id, shared] {
-      adopt_connection(loop, id.value, std::move(*shared), false);
-    });
-  }
+  const GridNodeId id{next_id_++};
+  adopt_connection(id.value, std::move(socket), false);
   return id;
 }
 
-void TcpTransport::accept_pending(Loop& loop) {
+void TcpTransport::accept_pending() {
   for (;;) {
-    Socket socket = tcp_accept(loop.listener);
+    bool exhausted = false;
+    Socket socket = tcp_accept(listener_, &exhausted);
+    if (exhausted) {
+      // Out of descriptors: the connection stays in the backlog. Park the
+      // listener (a level-triggered engine would report it ready on every
+      // wait) and try again on the next tick, by when a peer may be gone.
+      ++io_.accepts_deferred;
+      engine_->modify(listener_.fd(), kListenerToken, Interest::kNone);
+      accept_retry_ = wheel_.schedule(now_ms(), kTickMs);
+      return;
+    }
     if (!socket.valid()) {
       return;
     }
-    const GridNodeId id{next_id_++};
-    std::size_t target = loop.index;
-    if (dispatch_accept_) {
-      // Fallback sharding: this loop accepted for everyone; spread the
-      // connections round-robin. (next_accept_loop_ is touched only by the
-      // one accepting loop.)
-      target = next_accept_loop_++ % loops_.size();
-    }
-    {
-      std::lock_guard<std::mutex> lock(index_mutex_);
-      peer_index_.emplace(id.value, PeerRef{target, true});
-    }
-    if (target == loop.index) {
-      adopt_connection(loop, id.value, std::move(socket), true);
-    } else {
-      Loop& owner = *loops_[target];
-      auto shared = std::make_shared<Socket>(std::move(socket));
-      submit(owner, [this, &owner, id, shared] {
-        adopt_connection(owner, id.value, std::move(*shared), true);
-      });
-    }
+    adopt_connection(next_id_++, std::move(socket), true);
   }
 }
 
-void TcpTransport::adopt_connection(Loop& loop, std::uint32_t id,
-                                    Socket socket, bool accepted) {
+void TcpTransport::adopt_connection(std::uint32_t id, Socket socket,
+                                    bool accepted) {
   Peer incoming;
   incoming.socket = std::move(socket);
-  incoming.decoder = FrameDecoder(options_.max_frame_size);
   incoming.accepted = accepted;
-  auto [it, inserted] = loop.peers.emplace(id, std::move(incoming));
+  auto [it, inserted] = peers_.emplace(id, std::move(incoming));
   Peer& peer = it->second;
-  loop.engine->add(peer.socket.fd(), id, Interest::kRead);
+  engine_->add(peer.socket.fd(), id, Interest::kRead);
   peer.armed = Interest::kRead;
   if (options_.chaos.has_value() && options_.chaos->any()) {
     // One deterministic sampler per connection: the plan seed plus the
     // peer id fully determine every draw this link will ever make.
     peer.chaos = std::make_unique<ChaosLink>(*options_.chaos, id);
     if (accepted && peer.chaos->sample_accept_reset()) {
-      chaos_accept_resets_.fetch_add(1, std::memory_order_relaxed);
-      drop_peer(loop, GridNodeId{id}, "chaos accept reset");
+      ++io_.chaos_accept_resets;
+      drop_peer(GridNodeId{id});
       return;
     }
   }
   if (accepted && auth_.has_value()) {
     // Open the handshake: one fresh nonce per connection, burned when the
-    // proof arrives — the replay barrier. The nonce stream is shared by
-    // every accepting loop, hence the lock (handshake-time only).
-    {
-      std::lock_guard<std::mutex> lock(nonce_mutex_);
-      peer.nonce = auth::handshake_nonce(*nonce_rng_);
-    }
+    // proof arrives — the replay barrier.
+    peer.nonce = auth::handshake_nonce(*nonce_rng_);
     HelloChallenge challenge;
     challenge.protocol = kGridProtocol;
     challenge.nonce = peer.nonce;
-    queue_control_frame(loop, GridNodeId{id}, peer,
-                        Message(std::move(challenge)));
+    queue_control_frame(GridNodeId{id}, peer, Message(std::move(challenge)));
   }
 }
 
 Bytes TcpTransport::acquire_frame() {
-  std::lock_guard<std::mutex> lock(frame_pool_mutex_);
   if (frame_pool_.empty()) {
     return Bytes();
   }
@@ -255,23 +196,17 @@ void TcpTransport::release_frame(Bytes frame) {
     return;  // nothing worth keeping, or too big to pin
   }
   frame.clear();
-  std::lock_guard<std::mutex> lock(frame_pool_mutex_);
   if (frame_pool_.size() < kFramePoolMaxBuffers) {
     frame_pool_.push_back(std::move(frame));
   }
 }
 
-void TcpTransport::finish_enqueue(Loop& loop, GridNodeId to, Peer& peer) {
-  const std::size_t pending = peer.write_pending;
-  std::size_t hwm = loop.write_queue_hwm.load(std::memory_order_relaxed);
-  while (pending > hwm &&
-         !loop.write_queue_hwm.compare_exchange_weak(
-             hwm, pending, std::memory_order_relaxed)) {
-  }
-  if (pending > options_.max_write_buffer) {
+void TcpTransport::finish_enqueue(GridNodeId to, Peer& peer) {
+  io_.write_queue_hwm = std::max(io_.write_queue_hwm, peer.write_pending);
+  if (peer.write_pending > kMaxWriteBuffer) {
     // The peer stopped draining its socket; cutting it loose beats
     // buffering without bound. Its tasks time out through on_quiescent.
-    drop_peer(loop, to, "write backpressure cap exceeded");
+    drop_peer(to);
     return;
   }
   // No immediate write: the peer joins the flush list and the whole burst
@@ -280,18 +215,18 @@ void TcpTransport::finish_enqueue(Loop& loop, GridNodeId to, Peer& peer) {
   // comes from.
   if (!peer.flush_queued) {
     peer.flush_queued = true;
-    loop.flush_list.push_back(to.value);
+    flush_list_.push_back(to.value);
   }
 }
 
-bool TcpTransport::flush_pending(Loop& loop) {
+bool TcpTransport::flush_pending() {
   bool progressed = false;
-  while (!loop.flush_list.empty()) {
-    loop.flush_scratch.clear();
-    loop.flush_scratch.swap(loop.flush_list);
-    for (const std::uint32_t raw : loop.flush_scratch) {
-      const auto it = loop.peers.find(raw);
-      if (it == loop.peers.end()) {
+  while (!flush_list_.empty()) {
+    flush_scratch_.clear();
+    flush_scratch_.swap(flush_list_);
+    for (const std::uint32_t raw : flush_scratch_) {
+      const auto it = peers_.find(raw);
+      if (it == peers_.end()) {
         continue;  // reaped while dirty
       }
       Peer& peer = it->second;
@@ -300,24 +235,24 @@ bool TcpTransport::flush_pending(Loop& loop) {
         continue;
       }
       const GridNodeId id{raw};
-      progressed |= service_write(loop, id, peer);
+      progressed |= service_write(id, peer);
       if (!peer.failed) {
-        sync_interest(loop, id, peer);
+        sync_interest(id, peer);
       }
     }
   }
   return progressed;
 }
 
-void TcpTransport::enqueue_framed(Loop& loop, GridNodeId to, Peer& peer,
-                                  Bytes framed, bool control) {
+void TcpTransport::enqueue_framed(GridNodeId to, Peer& peer, Bytes framed,
+                                  bool control) {
   if (!control && options_.shed_watermark > 0 &&
       peer.write_pending > options_.shed_watermark) {
     // Overload policy: drop whole protocol frames for a backlogged peer
     // rather than queue toward the kill cap — its tasks retry or abort
     // through on_quiescent while the connection (and every other peer's
     // latency) survives. Handshake frames are never shed.
-    frames_shed_.fetch_add(1, std::memory_order_relaxed);
+    ++io_.frames_shed;
     release_frame(std::move(framed));
     return;
   }
@@ -327,24 +262,24 @@ void TcpTransport::enqueue_framed(Loop& loop, GridNodeId to, Peer& peer,
     if (release > now || !peer.delayed.empty()) {
       // Held in flight until its sampled release (FIFO: releases are
       // monotone per link, and nothing may overtake an earlier frame).
-      chaos_frames_delayed_.fetch_add(1, std::memory_order_relaxed);
+      ++io_.chaos_frames_delayed;
       peer.delayed.emplace_back(release, std::move(framed));
-      schedule_peer_wakeup(loop, to, peer, release);
+      schedule_peer_wakeup(to, peer, release);
       return;
     }
   }
   if (peer.chaos != nullptr && peer.chaos->sample_disconnect()) {
-    chaos_disconnects_.fetch_add(1, std::memory_order_relaxed);
-    drop_peer(loop, to, "chaos mid-stream disconnect");
+    ++io_.chaos_disconnects;
+    drop_peer(to);
     release_frame(std::move(framed));
     return;
   }
   peer.write_pending += framed.size();
   peer.write_queue.push_back(std::move(framed));
-  finish_enqueue(loop, to, peer);
+  finish_enqueue(to, peer);
 }
 
-void TcpTransport::schedule_peer_wakeup(Loop& loop, GridNodeId id, Peer& peer,
+void TcpTransport::schedule_peer_wakeup(GridNodeId id, Peer& peer,
                                         std::uint64_t at_ms) {
   if (peer.failed) {
     return;
@@ -353,20 +288,20 @@ void TcpTransport::schedule_peer_wakeup(Loop& loop, GridNodeId id, Peer& peer,
     if (peer.wakeup_at_ms <= at_ms) {
       return;  // already waking at least as early
     }
-    if (loop.wheel.cancel(*peer.wakeup)) {
-      loop.peer_timers.erase(*peer.wakeup);
+    if (wheel_.cancel(*peer.wakeup)) {
+      peer_timers_.erase(*peer.wakeup);
     }
     peer.wakeup.reset();
   }
   const std::uint64_t now = now_ms();
   const TimerWheel::TimerId timer =
-      loop.wheel.schedule(now, at_ms > now ? at_ms - now : 0);
-  loop.peer_timers.emplace(timer, id.value);
+      wheel_.schedule(now, at_ms > now ? at_ms - now : 0);
+  peer_timers_.emplace(timer, id.value);
   peer.wakeup = timer;
   peer.wakeup_at_ms = at_ms;
 }
 
-bool TcpTransport::service_peer_wakeup(Loop& loop, GridNodeId id, Peer& peer) {
+bool TcpTransport::service_peer_wakeup(GridNodeId id, Peer& peer) {
   if (peer.failed) {
     return false;
   }
@@ -376,13 +311,13 @@ bool TcpTransport::service_peer_wakeup(Loop& loop, GridNodeId id, Peer& peer) {
     // The peer has taken nothing off its socket for the whole window:
     // evict it now instead of waiting for the byte cap — one slow
     // consumer must not hold queue memory and retry budget hostage.
-    peers_evicted_.fetch_add(1, std::memory_order_relaxed);
-    drop_peer(loop, id, "write queue stalled; evicted");
+    ++io_.peers_evicted;
+    drop_peer(id);
     return true;
   }
   if (peer.stalled_until_ms > 0 && now >= peer.stalled_until_ms) {
     peer.stalled_until_ms = 0;  // stall episode over: resume reading
-    sync_interest(loop, id, peer);
+    sync_interest(id, peer);
   }
   bool appended = false;
   while (!peer.failed && !peer.delayed.empty() &&
@@ -391,8 +326,8 @@ bool TcpTransport::service_peer_wakeup(Loop& loop, GridNodeId id, Peer& peer) {
     peer.delayed.pop_front();
     if (peer.chaos->sample_disconnect()) {
       // The connection dies under a frame in flight.
-      chaos_disconnects_.fetch_add(1, std::memory_order_relaxed);
-      drop_peer(loop, id, "chaos mid-stream disconnect");
+      ++io_.chaos_disconnects;
+      drop_peer(id);
       release_frame(std::move(frame));
       break;
     }
@@ -401,7 +336,7 @@ bool TcpTransport::service_peer_wakeup(Loop& loop, GridNodeId id, Peer& peer) {
     appended = true;
   }
   if (appended && !peer.failed) {
-    finish_enqueue(loop, id, peer);
+    finish_enqueue(id, peer);
   }
   if (!peer.failed) {
     std::uint64_t next = 0;
@@ -420,13 +355,13 @@ bool TcpTransport::service_peer_wakeup(Loop& loop, GridNodeId id, Peer& peer) {
       }
     }
     if (next > 0) {
-      schedule_peer_wakeup(loop, id, peer, next);
+      schedule_peer_wakeup(id, peer, next);
     }
   }
   return appended;
 }
 
-bool TcpTransport::chaos_stall_read(Loop& loop, GridNodeId id, Peer& peer) {
+bool TcpTransport::chaos_stall_read(GridNodeId id, Peer& peer) {
   if (peer.chaos == nullptr || peer.failed) {
     return false;
   }
@@ -440,10 +375,10 @@ bool TcpTransport::chaos_stall_read(Loop& loop, GridNodeId id, Peer& peer) {
   }
   // Go deaf: park read interest (level-triggered engines would otherwise
   // busy-wake on the buffered bytes) and let the wakeup timer resume.
-  chaos_read_stalls_.fetch_add(1, std::memory_order_relaxed);
+  ++io_.chaos_read_stalls;
   peer.stalled_until_ms = now + *stall;
-  sync_interest(loop, id, peer);
-  schedule_peer_wakeup(loop, id, peer, peer.stalled_until_ms);
+  sync_interest(id, peer);
+  schedule_peer_wakeup(id, peer, peer.stalled_until_ms);
   return true;
 }
 
@@ -451,170 +386,88 @@ std::uint64_t TcpTransport::effective_quiescence_ms() const {
   return quiescence_estimator_.timeout_ms(options_.quiescence_timeout_ms);
 }
 
-void TcpTransport::queue_control_frame(Loop& loop, GridNodeId to, Peer& peer,
+void TcpTransport::queue_control_frame(GridNodeId to, Peer& peer,
                                        const Message& message) {
-  encode_message_into(message, loop.encode_scratch);
-  check(loop.encode_scratch.size() <= options_.max_frame_size,
-        "TcpTransport: ", loop.encode_scratch.size(),
-        "-byte handshake frame exceeds the ", options_.max_frame_size,
-        "-byte frame cap");
+  encode_message_into(message, encode_scratch_);
+  check(encode_scratch_.size() <= kDefaultMaxFrameSize, "TcpTransport: ",
+        encode_scratch_.size(), "-byte handshake frame exceeds the ",
+        kDefaultMaxFrameSize, "-byte frame cap");
   Bytes framed = acquire_frame();
-  append_frame(loop.encode_scratch, framed, options_.max_frame_size);
-  enqueue_framed(loop, to, peer, std::move(framed), true);
+  append_frame(encode_scratch_, framed);
+  enqueue_framed(to, peer, std::move(framed), true);
 }
 
 void TcpTransport::refuse_handshake(GridNodeId from,
                                     auth::HandshakeStatus status,
                                     const auth::AuthInfo& info) {
-  ++handshakes_refused_;
-  Event event;
-  event.kind = Event::Kind::kAuthRefused;
-  event.peer = from;
-  event.status = status;
-  event.info = info;
-  emit(std::move(event));
+  ++io_.handshakes_refused;
+  if (on_auth_refused) {
+    on_auth_refused(from, status, info);
+  }
   throw FrameError(concat("handshake refused: ", auth::to_string(status)));
 }
 
 void TcpTransport::send(GridNodeId from, GridNodeId to,
                         const Message& message) {
-  check(to.value < next_id_.load(),
-        "TcpTransport::send: unknown recipient ", to.value);
-  std::size_t loop_index = 0;
-  {
-    std::lock_guard<std::mutex> lock(index_mutex_);
-    const auto it = peer_index_.find(to.value);
-    if (it == peer_index_.end() || !it->second.alive) {
-      return;  // peer is gone; the frame is lost, like any in-flight traffic
-    }
-    loop_index = it->second.loop;
+  check(to.value < next_id_, "TcpTransport::send: unknown recipient ",
+        to.value);
+  const auto it = peers_.find(to.value);
+  if (it == peers_.end() || it->second.failed) {
+    return;  // peer is gone; the frame is lost, like any in-flight traffic
   }
-  Loop& loop = *loops_[loop_index];
-
-  if (!threaded()) {
-    const auto it = loop.peers.find(to.value);
-    if (it == loop.peers.end() || it->second.failed) {
-      return;
-    }
-    Peer& peer = it->second;
-    encode_message_into(message, loop.encode_scratch);
-    // A message the local stack cannot frame is a local bug (or a
-    // misconfigured max_frame_size), never the recipient's fault: fail
-    // loudly instead of letting a FrameError masquerade as a peer
-    // violation.
-    check(loop.encode_scratch.size() <= options_.max_frame_size,
-          "TcpTransport::send: ", loop.encode_scratch.size(),
-          "-byte message exceeds the ", options_.max_frame_size,
-          "-byte frame cap (raise TcpTransportOptions::max_frame_size)");
-    stats_.record(from, to, loop.encode_scratch.size());
-    Bytes framed = acquire_frame();
-    append_frame(loop.encode_scratch, framed, options_.max_frame_size);
-    enqueue_framed(loop, to, peer, std::move(framed), false);
-    return;
-  }
-
-  // Threaded: encode on the protocol thread (reusing one scratch — send()
-  // is single-caller by contract), then hand the framed bytes to the loop
-  // that owns the peer.
-  encode_message_into(message, send_scratch_);
-  check(send_scratch_.size() <= options_.max_frame_size,
-        "TcpTransport::send: ", send_scratch_.size(),
-        "-byte message exceeds the ", options_.max_frame_size,
-        "-byte frame cap (raise TcpTransportOptions::max_frame_size)");
-  stats_.record(from, to, send_scratch_.size());
+  encode_message_into(message, encode_scratch_);
+  // A message the local stack cannot frame is a local bug, never the
+  // recipient's fault: fail loudly instead of letting a FrameError
+  // masquerade as a peer violation.
+  check(encode_scratch_.size() <= kDefaultMaxFrameSize,
+        "TcpTransport::send: ", encode_scratch_.size(),
+        "-byte message exceeds the ", kDefaultMaxFrameSize,
+        "-byte frame cap");
+  stats_.record(from, to, encode_scratch_.size());
   Bytes framed = acquire_frame();
-  append_frame(send_scratch_, framed, options_.max_frame_size);
-  submit(loop, [this, &loop, to, framed = std::move(framed)]() mutable {
-    const auto it = loop.peers.find(to.value);
-    if (it == loop.peers.end() || it->second.failed) {
-      release_frame(std::move(framed));  // vanished between submit and run
-      return;
-    }
-    enqueue_framed(loop, to, it->second, std::move(framed), false);
-  });
+  append_frame(encode_scratch_, framed);
+  enqueue_framed(to, it->second, std::move(framed), false);
 }
 
 bool TcpTransport::offline(GridNodeId node) const {
   if (local_ != nullptr && node == local_->id()) {
     return false;
   }
-  std::lock_guard<std::mutex> lock(index_mutex_);
-  const auto it = peer_index_.find(node.value);
-  return it == peer_index_.end() || !it->second.alive;
+  const auto it = peers_.find(node.value);
+  return it == peers_.end() || it->second.failed;
 }
 
 const NetworkStats& TcpTransport::stats() const { return stats_; }
 
 std::vector<GridNodeId> TcpTransport::connected_peers() const {
   std::vector<GridNodeId> out;
-  std::lock_guard<std::mutex> lock(index_mutex_);
-  out.reserve(peer_index_.size());
-  for (const auto& [id, ref] : peer_index_) {
-    if (ref.alive) {
+  out.reserve(peers_.size());
+  for (const auto& [id, peer] : peers_) {
+    if (!peer.failed) {
       out.push_back(GridNodeId{id});
     }
   }
   return out;
 }
 
-std::optional<Hello> TcpTransport::hello_of(GridNodeId peer) const {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  const auto it = registry_.find(peer.value);
-  return it == registry_.end() ? std::nullopt : it->second.hello;
-}
-
 std::optional<auth::AuthInfo> TcpTransport::auth_of(GridNodeId peer) const {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  const auto it = registry_.find(peer.value);
-  return it == registry_.end() ? std::nullopt : it->second.auth;
+  const auto it = peers_.find(peer.value);
+  return it == peers_.end() ? std::nullopt : it->second.auth;
 }
 
 TcpIoStats TcpTransport::io_stats() const {
-  TcpIoStats out;
-  out.engine = loops_[0]->engine->name();
-  out.io_loops = static_cast<unsigned>(loops_.size());
-  out.peers_per_loop.assign(loops_.size(), 0);
-  {
-    std::lock_guard<std::mutex> lock(index_mutex_);
-    for (const auto& [id, ref] : peer_index_) {
-      if (ref.alive && ref.loop < out.peers_per_loop.size()) {
-        ++out.peers_per_loop[ref.loop];
-      }
-    }
-  }
-  for (const auto& loop : loops_) {
-    out.write_queue_hwm =
-        std::max(out.write_queue_hwm,
-                 loop->write_queue_hwm.load(std::memory_order_relaxed));
-  }
-  out.frames_undecodable = frames_undecodable_.load();
-  out.streams_truncated = streams_truncated_.load();
-  out.handshakes_refused = handshakes_refused_.load();
-  out.read_calls = read_calls_.load(std::memory_order_relaxed);
-  out.write_calls = write_calls_.load(std::memory_order_relaxed);
-  out.frames_sent = frames_sent_.load(std::memory_order_relaxed);
-  out.frames_per_write.reserve(frames_per_write_hist_.size());
-  for (const auto& bucket : frames_per_write_hist_) {
-    out.frames_per_write.push_back(bucket.load(std::memory_order_relaxed));
-  }
+  TcpIoStats out = io_;
   out.frames_per_write_mean =
       out.write_calls > 0 ? static_cast<double>(out.frames_sent) /
                                 static_cast<double>(out.write_calls)
                           : 0.0;
-  out.frames_shed = frames_shed_.load();
-  out.peers_evicted = peers_evicted_.load();
-  out.chaos_accept_resets = chaos_accept_resets_.load();
-  out.chaos_disconnects = chaos_disconnects_.load();
-  out.chaos_frames_delayed = chaos_frames_delayed_.load();
-  out.chaos_read_stalls = chaos_read_stalls_.load();
   out.quiescence_timeout_ms = effective_quiescence_ms();
   return out;
 }
 
-void TcpTransport::drop_peer(Loop& loop, GridNodeId id, const char* why) {
-  (void)why;  // kept for debugger visibility; peers drop silently otherwise
-  const auto it = loop.peers.find(id.value);
-  if (it == loop.peers.end() || it->second.failed) {
+void TcpTransport::drop_peer(GridNodeId id) {
+  const auto it = peers_.find(id.value);
+  if (it == peers_.end() || it->second.failed) {
     return;
   }
   // Deferred teardown: drop_peer can fire while a caller still holds this
@@ -623,17 +476,17 @@ void TcpTransport::drop_peer(Loop& loop, GridNodeId id, const char* why) {
   Peer& peer = it->second;
   peer.failed = true;
   if (peer.wakeup.has_value()) {
-    loop.wheel.cancel(*peer.wakeup);
-    loop.peer_timers.erase(*peer.wakeup);
+    wheel_.cancel(*peer.wakeup);
+    peer_timers_.erase(*peer.wakeup);
     peer.wakeup.reset();
   }
   if (peer.decoder.bytes_pending() > 0 && !peer.decoder.poisoned()) {
     // The stream died mid-frame: in-flight traffic was genuinely lost.
     // (Poisoned streams also leave bytes behind, but those are a framing
     // violation, not truncation — keep the counters distinct.)
-    ++streams_truncated_;
+    ++io_.streams_truncated;
   }
-  loop.engine->remove(peer.socket.fd());
+  engine_->remove(peer.socket.fd());
   peer.socket.close();
   // Recycle the frames it never drained (and the chaos-delayed ones).
   while (!peer.write_queue.empty()) {
@@ -646,107 +499,33 @@ void TcpTransport::drop_peer(Loop& loop, GridNodeId id, const char* why) {
     release_frame(std::move(peer.delayed.front().second));
     peer.delayed.pop_front();
   }
-  loop.doomed.push_back(id.value);
-  {
-    std::lock_guard<std::mutex> lock(index_mutex_);
-    const auto ref = peer_index_.find(id.value);
-    if (ref != peer_index_.end()) {
-      ref->second.alive = false;
-    }
-  }
+  doomed_.push_back(id.value);
 }
 
-void TcpTransport::reap(Loop& loop) {
-  for (const std::uint32_t raw : loop.doomed) {
-    if (loop.peers.erase(raw) > 0) {
-      {
-        std::lock_guard<std::mutex> lock(index_mutex_);
-        peer_index_.erase(raw);
-      }
-      Event event;
-      event.kind = Event::Kind::kDisconnected;
-      event.peer = GridNodeId{raw};
-      emit(std::move(event));
-    }
-  }
-  loop.doomed.clear();
-}
-
-void TcpTransport::emit(Event event) {
-  if (!threaded()) {
-    deliver(event);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(inbox_mutex_);
-    inbox_.push_back(std::move(event));
-  }
-  inbox_cv_.notify_one();
-}
-
-void TcpTransport::deliver(Event& event) {
-  switch (event.kind) {
-    case Event::Kind::kMessage:
-      if (local_ != nullptr) {
-        // Feed the adaptive-quiescence estimator with this peer's
-        // inter-message gap — the real WAN cadence, jitter included.
-        const std::uint64_t now = now_ms();
-        const auto last = last_message_ms_.find(event.peer.value);
-        if (last != last_message_ms_.end() && now >= last->second) {
-          quiescence_estimator_.record_gap(now - last->second);
+void TcpTransport::reap() {
+  while (!doomed_.empty()) {
+    // Swapped out first: a disconnect callback may send, and a send may
+    // doom another peer.
+    std::vector<std::uint32_t> doomed;
+    doomed.swap(doomed_);
+    for (const std::uint32_t raw : doomed) {
+      if (peers_.erase(raw) > 0) {
+        last_message_ms_.erase(raw);
+        if (on_peer_disconnected) {
+          on_peer_disconnected(GridNodeId{raw});
         }
-        last_message_ms_[event.peer.value] = now;
-        stats_.record(event.peer, local_->id(), event.bytes);
-        local_->on_message(event.peer, event.message, *this);
       }
-      return;
-    case Event::Kind::kHello: {
-      {
-        std::lock_guard<std::mutex> lock(registry_mutex_);
-        registry_[event.peer.value].hello = event.hello;
-      }
-      if (on_peer_hello) {
-        on_peer_hello(event.peer, event.hello);
-      }
-      return;
-    }
-    case Event::Kind::kAuthenticated: {
-      {
-        std::lock_guard<std::mutex> lock(registry_mutex_);
-        registry_[event.peer.value].auth = event.info;
-      }
-      if (on_peer_authenticated) {
-        on_peer_authenticated(event.peer, event.info);
-      }
-      return;
-    }
-    case Event::Kind::kAuthRefused:
-      if (on_auth_refused) {
-        on_auth_refused(event.peer, event.status, event.info);
-      }
-      return;
-    case Event::Kind::kDisconnected: {
-      last_message_ms_.erase(event.peer.value);
-      {
-        std::lock_guard<std::mutex> lock(registry_mutex_);
-        registry_.erase(event.peer.value);
-      }
-      if (on_peer_disconnected) {
-        on_peer_disconnected(event.peer);
-      }
-      return;
     }
   }
 }
 
-void TcpTransport::dispatch(Loop& loop, GridNodeId from, Peer& peer,
-                            BytesView payload) {
+void TcpTransport::dispatch(GridNodeId from, Peer& peer, BytesView payload) {
   Message message;
   try {
     message = decode_message(payload);
   } catch (const WireError&) {
     // Hostile or corrupt bytes reject cleanly and cost only this frame.
-    ++frames_undecodable_;
+    ++io_.frames_undecodable;
     return;
   }
 
@@ -765,7 +544,7 @@ void TcpTransport::dispatch(Loop& loop, GridNodeId from, Peer& peer,
     }
     if (identity_.has_value()) {
       queue_control_frame(
-          loop, from, peer,
+          from, peer,
           Message(auth::make_hello_proof(*identity_, challenge->nonce,
                                          kGridProtocol, agent_)));
     }
@@ -792,19 +571,14 @@ void TcpTransport::dispatch(Loop& loop, GridNodeId from, Peer& peer,
     }
     peer.greeted = true;
     peer.auth = info;
-    // Synthesize the Hello so hello-driven callers (and hello_of) see the
-    // same shape on both handshake flavors.
-    peer.hello = Hello{kGridProtocol, info.agent};
-    Event authed;
-    authed.kind = Event::Kind::kAuthenticated;
-    authed.peer = from;
-    authed.info = info;
-    emit(std::move(authed));
-    Event greeted;
-    greeted.kind = Event::Kind::kHello;
-    greeted.peer = from;
-    greeted.hello = *peer.hello;
-    emit(std::move(greeted));
+    if (on_peer_authenticated) {
+      on_peer_authenticated(from, info);
+    }
+    // Synthesize the Hello so hello-driven callers see the same shape on
+    // both handshake flavors.
+    if (on_peer_hello) {
+      on_peer_hello(from, Hello{kGridProtocol, info.agent});
+    }
     return;
   }
   if (const auto* hello = std::get_if<Hello>(&message)) {
@@ -827,12 +601,9 @@ void TcpTransport::dispatch(Loop& loop, GridNodeId from, Peer& peer,
                               ", this build speaks ", kGridProtocol));
     }
     peer.greeted = true;
-    peer.hello = *hello;
-    Event event;
-    event.kind = Event::Kind::kHello;
-    event.peer = from;
-    event.hello = *hello;
-    emit(std::move(event));
+    if (on_peer_hello) {
+      on_peer_hello(from, *hello);
+    }
     return;
   }
   if (peer.accepted && !peer.greeted) {
@@ -843,15 +614,22 @@ void TcpTransport::dispatch(Loop& loop, GridNodeId from, Peer& peer,
     throw FrameError("protocol frame before Hello");
   }
 
-  Event event;
-  event.kind = Event::Kind::kMessage;
-  event.peer = from;
-  event.bytes = payload.size();
-  event.message = std::move(message);
-  emit(std::move(event));
+  if (local_ == nullptr) {
+    return;  // no node to deliver to yet
+  }
+  // Feed the adaptive-quiescence estimator with this peer's inter-message
+  // gap — the real WAN cadence, jitter included.
+  const std::uint64_t now = now_ms();
+  const auto last = last_message_ms_.find(from.value);
+  if (last != last_message_ms_.end() && now >= last->second) {
+    quiescence_estimator_.record_gap(now - last->second);
+  }
+  last_message_ms_[from.value] = now;
+  stats_.record(from, local_->id(), payload.size());
+  local_->on_message(from, message, *this);
 }
 
-bool TcpTransport::service_read(Loop& loop, GridNodeId id, Peer& peer) {
+bool TcpTransport::service_read(GridNodeId id, Peer& peer) {
   bool progressed = false;
   // Fairness bound: one peer gets at most this many recv() rounds before
   // control returns to the engine, so a flooding (or simply bulk-uploading)
@@ -859,15 +637,15 @@ bool TcpTransport::service_read(Loop& loop, GridNodeId id, Peer& peer) {
   // timer wheel. Whatever remains buffered re-arms readiness immediately
   // (both backends are level-triggered for exactly this reason).
   for (int round = 0; !peer.failed && round < 16; ++round) {
-    read_calls_.fetch_add(1, std::memory_order_relaxed);
+    ++io_.read_calls;
     const IoResult result =
-        read_some(peer.socket, std::span<std::uint8_t>(loop.read_scratch));
+        read_some(peer.socket, std::span<std::uint8_t>(read_scratch_));
     if (result.status == IoStatus::kOk) {
       progressed = true;
       try {
-        peer.decoder.feed(BytesView(loop.read_scratch.data(), result.bytes));
+        peer.decoder.feed(BytesView(read_scratch_.data(), result.bytes));
         while (const auto frame = peer.decoder.next()) {
-          dispatch(loop, id, peer, *frame);
+          dispatch(id, peer, *frame);
           if (peer.failed) {
             break;  // a dispatch side effect (backpressure) doomed it
           }
@@ -875,7 +653,7 @@ bool TcpTransport::service_read(Loop& loop, GridNodeId id, Peer& peer) {
       } catch (const FrameError&) {
         // Oversized length, pre-Hello traffic, or a protocol mismatch: the
         // stream is unusable.
-        drop_peer(loop, id, "framing violation");
+        drop_peer(id);
         return true;
       }
       continue;
@@ -884,8 +662,7 @@ bool TcpTransport::service_read(Loop& loop, GridNodeId id, Peer& peer) {
       return progressed;
     }
     // Orderly EOF or a connection error.
-    drop_peer(loop, id,
-              result.status == IoStatus::kClosed ? "eof" : "io error");
+    drop_peer(id);
     return true;
   }
   return progressed;
@@ -911,7 +688,7 @@ std::size_t TcpTransport::advance_write_queue(Peer& peer,
   return frames;
 }
 
-bool TcpTransport::service_write(Loop& loop, GridNodeId id, Peer& peer) {
+bool TcpTransport::service_write(GridNodeId id, Peer& peer) {
   bool progressed = false;
   while (!peer.failed && peer.write_pending > 0) {
     // Gather the queue front into one vectored write: every queued frame
@@ -947,16 +724,15 @@ bool TcpTransport::service_write(Loop& loop, GridNodeId id, Peer& peer) {
       }
       iov_count = used;
     }
-    write_calls_.fetch_add(1, std::memory_order_relaxed);
+    ++io_.write_calls;
     const IoResult result = write_vec(peer.socket, iov, iov_count);
     if (result.status == IoStatus::kOk) {
       if (result.bytes == 0) {
         break;  // kernel took nothing; try again next round
       }
       const std::size_t frames = advance_write_queue(peer, result.bytes);
-      frames_sent_.fetch_add(frames, std::memory_order_relaxed);
-      frames_per_write_hist_[frames_per_write_bucket(frames)].fetch_add(
-          1, std::memory_order_relaxed);
+      io_.frames_sent += frames;
+      ++io_.frames_per_write[frames_per_write_bucket(frames)];
       progressed = true;
       if (clamped < want) {
         break;  // chaos short write: yield; level-trigger re-wakes us
@@ -969,7 +745,7 @@ bool TcpTransport::service_write(Loop& loop, GridNodeId id, Peer& peer) {
     // EPIPE/ECONNRESET and friends: the connection is dead — drop it here
     // rather than waiting for the read path to notice (close_all only
     // services writes, so it depends on this branch to stop draining).
-    drop_peer(loop, id, "write error");
+    drop_peer(id);
     return true;
   }
   if (!peer.failed) {
@@ -981,7 +757,7 @@ bool TcpTransport::service_write(Loop& loop, GridNodeId id, Peer& peer) {
       peer.write_stuck_since_ms = now_ms();
       if (options_.evict_stalled_after_ms > 0) {
         schedule_peer_wakeup(
-            loop, id, peer,
+            id, peer,
             peer.write_stuck_since_ms + options_.evict_stalled_after_ms);
       }
     }
@@ -989,7 +765,7 @@ bool TcpTransport::service_write(Loop& loop, GridNodeId id, Peer& peer) {
   return progressed;
 }
 
-void TcpTransport::sync_interest(Loop& loop, GridNodeId id, Peer& peer) {
+void TcpTransport::sync_interest(GridNodeId id, Peer& peer) {
   if (peer.failed || !peer.socket.valid()) {
     return;
   }
@@ -1006,87 +782,63 @@ void TcpTransport::sync_interest(Loop& loop, GridNodeId id, Peer& peer) {
   if (desired == peer.armed) {
     return;
   }
-  loop.engine->modify(peer.socket.fd(), id.value, desired);
+  engine_->modify(peer.socket.fd(), id.value, desired);
   peer.armed = desired;
 }
 
-bool TcpTransport::pump_local_flush() {
-  if (local_ == nullptr) {
-    return false;
-  }
-  bool any = false;
-  while (local_->flush(*this)) {
-    any = true;
-  }
-  return any;
-}
-
 void TcpTransport::arm_quiescence(std::uint64_t now) {
-  Loop& loop = *loops_[0];
-  if (loop.quiescence_timer.has_value()) {
-    loop.wheel.cancel(*loop.quiescence_timer);
+  if (quiescence_timer_.has_value()) {
+    wheel_.cancel(*quiescence_timer_);
   }
-  loop.quiescence_timer = loop.wheel.schedule(now, effective_quiescence_ms());
+  quiescence_timer_ = wheel_.schedule(now, effective_quiescence_ms());
 }
 
 void TcpTransport::run(const std::function<bool()>& done) {
-  if (threaded()) {
-    run_threaded(done);
-  } else {
-    run_single(done);
-  }
-}
-
-void TcpTransport::run_single(const std::function<bool()>& done) {
-  Loop& loop = *loops_[0];
   arm_quiescence(now_ms());
   for (;;) {
     // Reap first so a disconnect observed last round is visible to the
     // predicate now — a gridworker waiting on its supervisor's EOF must
     // not sleep one extra wait timeout.
-    reap(loop);
+    reap();
     if (done()) {
       break;
     }
 
     // Everything this round enqueued goes out now, one vectored write per
     // dirty peer, so the wait below starts with the kernel already fed.
-    flush_pending(loop);
+    flush_pending();
 
     // Sleep until I/O or the next timer; the wheel's earliest deadline caps
     // the wait so quiescence can't be missed.
     const std::uint64_t now_before = now_ms();
-    std::uint64_t timeout = options_.tick_ms * 10;
-    if (const auto deadline = loop.wheel.next_deadline_ms()) {
+    std::uint64_t timeout = kTickMs * 10;
+    if (const auto deadline = wheel_.next_deadline_ms()) {
       timeout = *deadline > now_before ? *deadline - now_before : 0;
     }
-    loop.engine->wait(
-        static_cast<int>(std::min<std::uint64_t>(timeout, 1000)),
-        loop.ready_scratch);
+    engine_->wait(static_cast<int>(std::min<std::uint64_t>(timeout, 1000)),
+                  ready_scratch_);
 
     bool progressed = false;
-    for (const ReadyEvent& event : loop.ready_scratch) {
+    for (const ReadyEvent& event : ready_scratch_) {
       if (event.token == kListenerToken) {
-        accept_pending(loop);
+        accept_pending();
         progressed = true;
         continue;
       }
       const GridNodeId id{static_cast<std::uint32_t>(event.token)};
-      const auto it = loop.peers.find(id.value);
-      if (it == loop.peers.end() || it->second.failed) {
+      const auto it = peers_.find(id.value);
+      if (it == peers_.end() || it->second.failed) {
         continue;  // dropped earlier in this round
       }
-      if ((event.readable && !chaos_stall_read(loop, id, it->second)) ||
+      if ((event.readable && !chaos_stall_read(id, it->second)) ||
           event.error) {
-        progressed |= service_read(loop, id, it->second);
+        progressed |= service_read(id, it->second);
       }
       if (!it->second.failed && event.writable) {
-        progressed |= service_write(loop, id, it->second);
-        sync_interest(loop, id, it->second);
+        progressed |= service_write(id, it->second);
+        sync_interest(id, it->second);
       }
     }
-
-    progressed |= pump_local_flush();
 
     if (progressed) {
       // Re-arm before advancing, so the quiescence timer can never fire
@@ -1096,33 +848,37 @@ void TcpTransport::run_single(const std::function<bool()>& done) {
     // Always advance the wheel — peer-service timers (chaos releases,
     // stall ends, eviction deadlines) must fire on time even while the
     // grid is busy, not only on idle rounds.
-    loop.fired_scratch.clear();
-    loop.wheel.advance(now_ms(), loop.fired_scratch);
+    fired_scratch_.clear();
+    wheel_.advance(now_ms(), fired_scratch_);
     bool released = false;
-    for (const TimerWheel::TimerId timer : loop.fired_scratch) {
-      if (loop.quiescence_timer == timer) {
-        loop.quiescence_timer.reset();
+    for (const TimerWheel::TimerId timer : fired_scratch_) {
+      if (quiescence_timer_ == timer) {
+        quiescence_timer_.reset();
         // The grid went quiet for a full timeout: same contract as
-        // SimTransport's quiescence — flush first, then the timeout hook.
-        pump_local_flush();
+        // SimTransport's quiescence.
         if (local_ != nullptr) {
           local_->on_quiescent(*this);
         }
         arm_quiescence(now_ms());
         continue;
       }
-      const auto owner = loop.peer_timers.find(timer);
-      if (owner == loop.peer_timers.end()) {
+      if (accept_retry_ == timer) {
+        accept_retry_.reset();
+        engine_->modify(listener_.fd(), kListenerToken, Interest::kRead);
+        continue;
+      }
+      const auto owner = peer_timers_.find(timer);
+      if (owner == peer_timers_.end()) {
         continue;  // canceled peer timer that still fired this round
       }
       const GridNodeId id{owner->second};
-      loop.peer_timers.erase(owner);
-      const auto it = loop.peers.find(id.value);
-      if (it == loop.peers.end() || it->second.failed) {
+      peer_timers_.erase(owner);
+      const auto it = peers_.find(id.value);
+      if (it == peers_.end() || it->second.failed) {
         continue;
       }
       it->second.wakeup.reset();
-      released |= service_peer_wakeup(loop, id, it->second);
+      released |= service_peer_wakeup(id, it->second);
     }
     if (released) {
       // Chaos frames reaching the wire count as traffic for quiescence.
@@ -1131,213 +887,40 @@ void TcpTransport::run_single(const std::function<bool()>& done) {
   }
 }
 
-void TcpTransport::run_threaded(const std::function<bool()>& done) {
-  start_threads();
-  // The deadline re-reads effective_quiescence_ms() at every re-arm: in
-  // adaptive mode the window tracks the gap estimator as samples land.
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(effective_quiescence_ms());
-  std::vector<Event> batch;
-  for (;;) {
-    if (done()) {
-      break;
-    }
-    batch.clear();
-    {
-      std::unique_lock<std::mutex> lock(inbox_mutex_);
-      inbox_cv_.wait_until(lock, deadline, [&] { return !inbox_.empty(); });
-      while (!inbox_.empty()) {
-        batch.push_back(std::move(inbox_.front()));
-        inbox_.pop_front();
-      }
-    }
-    if (!batch.empty()) {
-      for (Event& event : batch) {
-        deliver(event);
-      }
-      pump_local_flush();
-      deadline = std::chrono::steady_clock::now() +
-                 std::chrono::milliseconds(effective_quiescence_ms());
-      continue;
-    }
-    if (std::chrono::steady_clock::now() >= deadline) {
-      // Quiet for a full timeout across every loop: flush, then the
-      // timeout hook — the same contract the single-loop wheel drives.
-      pump_local_flush();
-      if (local_ != nullptr) {
-        local_->on_quiescent(*this);
-      }
-      deadline = std::chrono::steady_clock::now() +
-                 std::chrono::milliseconds(effective_quiescence_ms());
-    }
-  }
-}
-
-void TcpTransport::submit(Loop& loop, std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(loop.tasks_mutex);
-    loop.tasks.push_back(std::move(task));
-  }
-  poke(loop.wake_write);
-}
-
-void TcpTransport::start_threads() {
-  if (threads_started_) {
-    return;
-  }
-  stop_ = false;
-  for (auto& loop_ptr : loops_) {
-    Loop& loop = *loop_ptr;
-    auto pipe = make_wake_pipe();
-    loop.wake_read = std::move(pipe.first);
-    loop.wake_write = std::move(pipe.second);
-    loop.engine->add(loop.wake_read.fd(), kWakeToken, Interest::kRead);
-    loop.thread = std::thread([this, &loop] { loop_thread(loop); });
-  }
-  threads_started_ = true;
-}
-
-void TcpTransport::stop_threads() {
-  if (!threads_started_) {
-    return;
-  }
-  stop_ = true;
-  for (auto& loop : loops_) {
-    poke(loop->wake_write);
-  }
-  for (auto& loop : loops_) {
-    if (loop->thread.joinable()) {
-      loop->thread.join();
-    }
-  }
-  for (auto& loop : loops_) {
-    loop->engine->remove(loop->wake_read.fd());
-    loop->wake_read.close();
-    loop->wake_write.close();
-    loop->thread = std::thread();
-  }
-  threads_started_ = false;
-  stop_ = false;
-}
-
-void TcpTransport::loop_thread(Loop& loop) {
-  std::vector<std::function<void()>> tasks;
-  try {
-    for (;;) {
-      tasks.clear();
-      {
-        std::lock_guard<std::mutex> lock(loop.tasks_mutex);
-        tasks.swap(loop.tasks);
-      }
-      for (auto& task : tasks) {
-        task();
-      }
-      reap(loop);
-      if (stop_.load()) {
-        break;
-      }
-
-      // Flush this round's enqueues (tasks above included) as batched
-      // vectored writes before sleeping.
-      flush_pending(loop);
-
-      int timeout = -1;
-      if (loop.wheel.armed()) {
-        const std::uint64_t now = now_ms();
-        std::uint64_t wait = 0;
-        if (const auto deadline = loop.wheel.next_deadline_ms()) {
-          wait = *deadline > now ? *deadline - now : 0;
-        }
-        timeout = static_cast<int>(std::min<std::uint64_t>(wait, 1000));
-      }
-      loop.engine->wait(timeout, loop.ready_scratch);
-
-      for (const ReadyEvent& event : loop.ready_scratch) {
-        if (event.token == kWakeToken) {
-          drain_wake_pipe(loop.wake_read);
-          continue;
-        }
-        if (event.token == kListenerToken) {
-          accept_pending(loop);
-          continue;
-        }
-        const GridNodeId id{static_cast<std::uint32_t>(event.token)};
-        const auto it = loop.peers.find(id.value);
-        if (it == loop.peers.end() || it->second.failed) {
-          continue;
-        }
-        if ((event.readable && !chaos_stall_read(loop, id, it->second)) ||
-            event.error) {
-          service_read(loop, id, it->second);
-        }
-        if (!it->second.failed && event.writable) {
-          service_write(loop, id, it->second);
-          sync_interest(loop, id, it->second);
-        }
-      }
-
-      if (loop.wheel.armed()) {
-        loop.fired_scratch.clear();
-        loop.wheel.advance(now_ms(), loop.fired_scratch);
-        for (const TimerWheel::TimerId timer : loop.fired_scratch) {
-          // Threaded loops arm only peer-service timers (quiescence lives
-          // on the protocol thread's deadline).
-          const auto owner = loop.peer_timers.find(timer);
-          if (owner == loop.peer_timers.end()) {
-            continue;
-          }
-          const GridNodeId id{owner->second};
-          loop.peer_timers.erase(owner);
-          const auto it = loop.peers.find(id.value);
-          if (it == loop.peers.end() || it->second.failed) {
-            continue;
-          }
-          it->second.wakeup.reset();
-          service_peer_wakeup(loop, id, it->second);
-        }
-      }
-    }
-  } catch (const std::exception&) {
-    // A catastrophic loop failure (engine syscall error) downs this loop;
-    // its peers go quiet and the protocol layer times them out through
-    // on_quiescent. The surviving loops keep the grid up.
-  }
-}
-
-void TcpTransport::drain_and_close(Loop& loop, std::uint64_t deadline_ms) {
-  reap(loop);
+void TcpTransport::drain_and_close(std::uint64_t deadline_ms) {
+  reap();
   // Frames enqueued since the last round haven't been written yet
   // (batched-flush discipline): give them one pass before deciding who
   // still owes the kernel bytes.
-  flush_pending(loop);
-  reap(loop);
+  flush_pending();
+  reap();
   // Stop accepting, and demote every peer to write-only interest so the
   // wait below wakes exactly when the kernel can take more bytes — readable
   // peers must not busy-wake a loop that is only draining.
-  if (loop.listener.valid()) {
-    loop.engine->remove(loop.listener.fd());
+  if (listener_.valid()) {
+    engine_->remove(listener_.fd());
   }
-  for (auto& [id, peer] : loop.peers) {
+  for (auto& [id, peer] : peers_) {
     if (peer.failed || !peer.socket.valid()) {
       continue;
     }
     if (peer.write_pending > 0) {
-      loop.engine->modify(peer.socket.fd(), id, Interest::kWrite);
+      engine_->modify(peer.socket.fd(), id, Interest::kWrite);
       peer.armed = Interest::kWrite;
     } else {
-      loop.engine->remove(peer.socket.fd());
+      engine_->remove(peer.socket.fd());
       peer.armed = Interest::kNone;
     }
   }
   for (;;) {
-    reap(loop);
+    reap();
     // Funeral drain still honors the chaos latency model: frames whose
     // release time has come move into the write queue (a verdict sampled
     // with WAN delay must not be dropped just because the grid finished
     // first). No disconnect sampling here — chaos had its chance while
     // the session was live; the funeral's only job is delivery.
     const std::uint64_t release_now = now_ms();
-    for (auto& [id, peer] : loop.peers) {
+    for (auto& [id, peer] : peers_) {
       if (peer.failed || !peer.socket.valid()) {
         continue;
       }
@@ -1351,25 +934,25 @@ void TcpTransport::drain_and_close(Loop& loop, std::uint64_t deadline_ms) {
         appended = true;
       }
       if (appended) {
-        service_write(loop, GridNodeId{id}, peer);
+        service_write(GridNodeId{id}, peer);
         if (peer.failed || !peer.socket.valid()) {
           continue;
         }
         if (peer.write_pending > 0) {
           if (peer.armed == Interest::kNone) {
-            loop.engine->add(peer.socket.fd(), id, Interest::kWrite);
+            engine_->add(peer.socket.fd(), id, Interest::kWrite);
           } else {
-            loop.engine->modify(peer.socket.fd(), id, Interest::kWrite);
+            engine_->modify(peer.socket.fd(), id, Interest::kWrite);
           }
           peer.armed = Interest::kWrite;
         } else if (peer.armed != Interest::kNone) {
-          loop.engine->remove(peer.socket.fd());
+          engine_->remove(peer.socket.fd());
           peer.armed = Interest::kNone;
         }
       }
     }
     bool pending = false;
-    for (const auto& [id, peer] : loop.peers) {
+    for (const auto& [id, peer] : peers_) {
       if (!peer.failed && (peer.write_pending > 0 || !peer.delayed.empty())) {
         pending = true;
         break;
@@ -1383,34 +966,28 @@ void TcpTransport::drain_and_close(Loop& loop, std::uint64_t deadline_ms) {
     // timer), not a constant interval: an idle drain sleeps until a socket
     // turns writable, a near-due deadline is honored on time.
     std::uint64_t timeout = deadline_ms - now;
-    if (loop.wheel.armed()) {
-      if (const auto wheel_deadline = loop.wheel.next_deadline_ms()) {
-        timeout = std::min(
-            timeout, *wheel_deadline > now ? *wheel_deadline - now : 0);
-      }
+    if (const auto wheel_deadline = wheel_.next_deadline_ms()) {
+      timeout =
+          std::min(timeout, *wheel_deadline > now ? *wheel_deadline - now : 0);
     }
-    loop.engine->wait(
+    engine_->wait(
         static_cast<int>(std::min<std::uint64_t>(
             timeout,
             static_cast<std::uint64_t>(std::numeric_limits<int>::max()))),
-        loop.ready_scratch);
-    for (const ReadyEvent& event : loop.ready_scratch) {
-      if (event.token == kWakeToken) {
-        drain_wake_pipe(loop.wake_read);
-        continue;
-      }
+        ready_scratch_);
+    for (const ReadyEvent& event : ready_scratch_) {
       if (event.token == kListenerToken) {
         continue;  // already deregistered; stale report
       }
       const GridNodeId id{static_cast<std::uint32_t>(event.token)};
-      const auto it = loop.peers.find(id.value);
-      if (it == loop.peers.end() || it->second.failed) {
+      const auto it = peers_.find(id.value);
+      if (it == peers_.end() || it->second.failed) {
         continue;
       }
       if (event.writable || event.error) {
-        service_write(loop, id, it->second);
+        service_write(id, it->second);
         if (!it->second.failed && it->second.write_pending == 0) {
-          loop.engine->remove(it->second.socket.fd());
+          engine_->remove(it->second.socket.fd());
           it->second.armed = Interest::kNone;
         }
       }
@@ -1418,74 +995,21 @@ void TcpTransport::drain_and_close(Loop& loop, std::uint64_t deadline_ms) {
   }
   // Teardown: whatever didn't drain is abandoned, silently (close_all is
   // the transport's funeral, not a disconnect).
-  {
-    std::lock_guard<std::mutex> index_lock(index_mutex_);
-    std::lock_guard<std::mutex> registry_lock(registry_mutex_);
-    for (const auto& [id, peer] : loop.peers) {
-      peer_index_.erase(id);
-      registry_.erase(id);
-    }
-  }
-  for (auto& [id, peer] : loop.peers) {
+  for (auto& [id, peer] : peers_) {
     if (!peer.failed && peer.socket.valid()) {
-      loop.engine->remove(peer.socket.fd());
+      engine_->remove(peer.socket.fd());
     }
   }
-  loop.peers.clear();
-  loop.doomed.clear();
-  loop.flush_list.clear();
-  loop.peer_timers.clear();  // any still-armed timers fire into nothing
-  loop.listener.close();
+  peers_.clear();
+  doomed_.clear();
+  flush_list_.clear();
+  peer_timers_.clear();  // any still-armed timers fire into nothing
+  accept_retry_.reset();
+  listener_.close();
 }
 
 void TcpTransport::close_all(std::uint64_t drain_timeout_ms) {
-  const std::uint64_t deadline = now_ms() + drain_timeout_ms;
-  if (!threaded()) {
-    drain_and_close(*loops_[0], deadline);
-    return;
-  }
-  if (!threads_started_) {
-    // Loops never ran: nothing is registered with the kernel beyond what
-    // RAII tears down. Drop parked tasks (their shared sockets close) and
-    // local state.
-    for (auto& loop : loops_) {
-      {
-        std::lock_guard<std::mutex> lock(loop->tasks_mutex);
-        loop->tasks.clear();
-      }
-      loop->peers.clear();
-      loop->doomed.clear();
-      loop->listener.close();
-    }
-    std::lock_guard<std::mutex> index_lock(index_mutex_);
-    std::lock_guard<std::mutex> registry_lock(registry_mutex_);
-    peer_index_.clear();
-    registry_.clear();
-    return;
-  }
-  // Each loop drains its own peers on its own thread; wait for all of them
-  // (with a slack bound in case a loop died), then stop the threads.
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  std::size_t done_count = 0;
-  for (auto& loop_ptr : loops_) {
-    Loop& loop = *loop_ptr;
-    submit(loop, [this, &loop, deadline, &done_mutex, &done_cv,
-                  &done_count] {
-      drain_and_close(loop, deadline);
-      {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        ++done_count;
-      }
-      done_cv.notify_one();
-    });
-  }
-  {
-    std::unique_lock<std::mutex> lock(done_mutex);
-    done_cv.wait_for(lock, std::chrono::milliseconds(drain_timeout_ms + 1000),
-                     [&] { return done_count == loops_.size(); });
-  }
-  stop_threads();
+  drain_and_close(now_ms() + drain_timeout_ms);
 }
 
 }  // namespace ugc::net

@@ -1,13 +1,12 @@
 #pragma once
 
 // Asynchronous TCP implementation of the Transport interface (see
-// net/frame.h for the src/net layering note): readiness-driven event loops
-// (net/event_engine.h — io_uring where the kernel has it, epoll where
-// available, poll() as the portable fallback) over non-blocking sockets,
-// shipping each wire-v2 encoded Message as one 4-byte length-prefixed
-// frame. This is the substrate the real executables (apps/gridd,
-// apps/gridworker, apps/gridload) run the unchanged supervisor/participant
-// protocol over.
+// net/frame.h for the src/net layering note): one readiness-driven event
+// loop (net/event_engine.h — epoll on Linux, poll() elsewhere) over
+// non-blocking sockets, shipping each wire-v2 encoded Message as one 4-byte
+// length-prefixed frame. This is the substrate the real executables
+// (apps/gridd, apps/gridworker, apps/gridload) run the unchanged
+// supervisor/participant protocol over.
 //
 // The write side is batched: each peer queues whole framed messages and
 // flushes them once per loop round through one vectored write (writev
@@ -16,41 +15,19 @@
 // has the bytes. TcpIoStats reports the syscall counts and the
 // frames-per-write distribution the batching is judged by.
 //
-// Threading model (the contract grid/transport.h documents from the
-// GridNode side):
-//
-//   io_threads == 1 (default) — everything runs on the thread inside
-//     run(): accepts, reads, writes, timers, and every callback. The
-//     historical single-loop behavior, byte-for-byte.
-//   io_threads == N — N event loops, each on its own thread, each owning a
-//     disjoint set of peers: a connection is accepted, read, written, and
-//     reaped on exactly one loop, so the frame hot path (recv → decode →
-//     encode → send) shares no state across loops and takes no cross-loop
-//     lock. Accepts shard via SO_REUSEPORT (one listener per loop, the
-//     kernel balances) with an accept-and-dispatch fallback. Decoded
-//     protocol messages and peer lifecycle events cross one seam — a
-//     mailbox drained by the thread inside run() — so GridNode callbacks
-//     still all fire on that one protocol thread, and the supervisor's
-//     parallel session pump (fed via flush) fans the verification work
-//     back out itself.
-//
-// send() may be called from the protocol thread (inside a GridNode
-// callback) or from the owning thread before/after run(); it must not be
-// called from arbitrary threads concurrently.
+// Threading: run() drives the loop on the caller's thread. Accepts, reads,
+// writes, timers and every callback happen there, and send() is called
+// from inside those callbacks or from the same thread between runs. The
+// transport takes no locks.
 
-#include <array>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "auth/handshake.h"
@@ -65,31 +42,12 @@
 namespace ugc::net {
 
 struct TcpTransportOptions {
-  // Per-frame payload cap, enforced on both sides (see net/frame.h).
-  std::size_t max_frame_size = kDefaultMaxFrameSize;
-  // Per-peer write-queue backpressure cap: a peer that stops draining its
-  // socket is disconnected once this much is queued for it, instead of
-  // buffering without bound. Generous — the largest protocol burst is one
-  // batched proof response per in-flight task.
-  std::size_t max_write_buffer = 32u << 20;
   // Idle period after which GridNode::on_quiescent fires — the real-clock
   // stand-in for SimTransport's exact quiescence, driving the same
   // retry/abort path. Raise it for slow workers or WAN links.
   std::uint64_t quiescence_timeout_ms = 1000;
-  // Timer-wheel granularity.
-  std::uint64_t tick_ms = 10;
-  // Event loops. 1 = the classic inline loop on the run() thread; N > 1 =
-  // N loop threads with per-loop peer ownership (see the header note).
-  unsigned io_threads = 1;
-  // Readiness backend for every loop (kAuto = epoll where supported).
+  // Readiness backend (kAuto = epoll on Linux, poll elsewhere).
   EngineBackend engine = EngineBackend::kAuto;
-  // Multi-loop accept sharding: per-loop SO_REUSEPORT listeners when true
-  // (and supported); false forces the accept-and-dispatch fallback, where
-  // loop 0 accepts and hands connections round-robin to the other loops.
-  bool sharded_accept = true;
-  // Listen backlog: a thousand workers racing one gridd must queue, not
-  // bounce (the kernel clamps to somaxconn).
-  int listen_backlog = 1024;
   // Seeded fault injection (grid/chaos.h): when set, every peer of this
   // transport gets a deterministic ChaosLink sampled from the plan —
   // outbound frames pay WAN latency/bandwidth before reaching the socket,
@@ -106,8 +64,8 @@ struct TcpTransportOptions {
   // Load shedding: above this many queued-but-unsent bytes for one peer,
   // new protocol frames for it are dropped (counted in frames_shed)
   // instead of queued — the connection survives and control/handshake
-  // frames are exempt. 0 = off. Distinct from max_write_buffer, which
-  // kills the connection outright.
+  // frames are exempt. 0 = off. Distinct from the 32 MiB write-queue cap,
+  // which kills the connection outright.
   std::size_t shed_watermark = 0;
   // Slow-peer eviction: a peer whose write queue has not fully drained
   // for this long is disconnected (counted in peers_evicted). 0 = off.
@@ -116,12 +74,8 @@ struct TcpTransportOptions {
 
 // Acceptor-side handshake policy for require_auth().
 struct AuthOptions {
-  // Reputation hook consulted after a proof verifies; a null function bans
-  // nobody. With io_threads == 1 it is called from inside run(); in
-  // multi-loop mode it is called from the I/O loop threads, so it must be
-  // thread-safe if identities can authenticate while the protocol node is
-  // mutating the reputation store (gridd authenticates its whole roster
-  // before the supervisor starts, so a plain store is fine there).
+  // Reputation hook consulted after a proof verifies, from inside run(); a
+  // null function bans nobody.
   auth::BanCheck is_banned;
   // Challenge-nonce RNG seed; 0 (the default) seeds from entropy. Fixing it
   // makes handshakes reproducible — for tests only, since predictable
@@ -131,25 +85,27 @@ struct AuthOptions {
 
 // I/O-layer counters (distinct from Transport::stats(), which meters
 // protocol traffic identically across transports). Everything a load run
-// needs to attribute a disconnect or a stall: which loop owned how many
-// fds, how deep write queues got before draining, and what was refused or
-// undecodable.
+// needs to attribute a disconnect or a stall: how deep write queues got
+// before draining, and what was refused, undecodable or put off.
 struct TcpIoStats {
   std::string engine;                       // backend actually in use
-  unsigned io_loops = 1;
-  std::vector<std::size_t> peers_per_loop;  // live peers owned by each loop
-  std::size_t write_queue_hwm = 0;          // bytes, max over all peers/loops
+  std::size_t write_queue_hwm = 0;          // bytes, max over all peers
   std::uint64_t frames_undecodable = 0;
   std::uint64_t streams_truncated = 0;
   std::uint64_t handshakes_refused = 0;
-  // Syscall accounting (the batching PR's scoreboard): every recv and every
-  // sendmsg the loops issue, the frames fully delivered, and how many whole
+  // Accepts put off because the process was out of file descriptors or the
+  // kernel out of socket memory (EMFILE, ENFILE, ENOBUFS, ENOMEM). The
+  // connection waits in the listen backlog; the listener re-arms on the
+  // next timer tick.
+  std::uint64_t accepts_deferred = 0;
+  // Syscall accounting (the batching scoreboard): every recv and every
+  // sendmsg the loop issues, the frames fully delivered, and how many whole
   // frames each sendmsg completed — buckets 0, 1, 2, 3, 4–7, 8–15, 16+.
   // A mean above 1 is the vectored write path coalescing a burst.
   std::uint64_t read_calls = 0;
   std::uint64_t write_calls = 0;
   std::uint64_t frames_sent = 0;
-  std::vector<std::uint64_t> frames_per_write;
+  std::vector<std::uint64_t> frames_per_write = std::vector<std::uint64_t>(7);
   double frames_per_write_mean = 0.0;
   // Degradation policies (see TcpTransportOptions):
   std::uint64_t frames_shed = 0;    // dropped above shed_watermark
@@ -168,8 +124,7 @@ struct TcpIoStats {
 // SupervisorNode, gridworker's ParticipantNode) and any number of remote
 // peers, each a framed TCP connection addressed by its GridNodeId — a star,
 // which is exactly the supervisor/participant topology (a broker would run
-// its own transport). Every GridNode callback fires on the thread inside
-// run(), whatever io_threads is.
+// its own transport).
 class TcpTransport final : public Transport {
  public:
   explicit TcpTransport(TcpTransportOptions options = {});
@@ -181,12 +136,6 @@ class TcpTransport final : public Transport {
   // itself consumes).
   GridNodeId add_local(GridNode& node);
 
-  // Detaches the current local node so a successor can be added — the seam
-  // gridload's repeated supervisor waves run through. Call only between
-  // run() invocations; frames arriving while no node is attached are
-  // dropped, exactly as before add_local.
-  void clear_local();
-
   // Server side: bind + listen; every accepted connection becomes a peer.
   // An accepted peer must introduce itself with a Hello frame (protocol ==
   // kGridProtocol) before any protocol traffic, or it is dropped. Call
@@ -197,8 +146,9 @@ class TcpTransport final : public Transport {
   // every accepted connection is sent a fresh HelloChallenge and must answer
   // with a verifying HelloProof before any scheme traffic. Bad proofs,
   // replayed stale nonces, banned identities, plain Hellos, and pre-proof
-  // scheme frames are all refused (counted in handshakes_refused(), reported
-  // through on_auth_refused, connection dropped). Call before run().
+  // scheme frames are all refused (counted in io_stats().handshakes_refused,
+  // reported through on_auth_refused, connection dropped). Call before
+  // run().
   void require_auth(AuthOptions options);
 
   // Arms the connector side: when a server challenges, answer with a proof
@@ -206,7 +156,6 @@ class TcpTransport final : public Transport {
   // is ignored and an auth-requiring server will refuse us.
   void use_identity(const auth::WorkerIdentity& identity, std::string agent);
   std::uint16_t port() const;
-  bool listening() const;
 
   // Client side: connect out; the remote end becomes a peer (no Hello is
   // expected back — the acceptor authenticates, the connector trusts).
@@ -236,35 +185,22 @@ class TcpTransport final : public Transport {
       on_auth_refused;
 
   // Drives the protocol until `done()` returns true: accepts, reads frames
-  // and dispatches them to the local node, drains write queues, pumps
-  // GridNode::flush whenever delivery goes quiet, and fires
-  // GridNode::on_quiescent after quiescence_timeout_ms of silence. With
-  // io_threads == 1 this thread also performs all I/O; otherwise the loop
-  // threads do and this thread drains their mailbox. Re-enterable: call
-  // again with a new predicate to continue.
+  // and dispatches them to the local node, drains write queues, and fires
+  // GridNode::on_quiescent after quiescence_timeout_ms of silence.
+  // Re-enterable: call again with a new predicate to continue.
   void run(const std::function<bool()>& done);
 
   // Drains pending writes (bounded by `drain_timeout_ms`), then closes
-  // every peer and the listener, and stops any loop threads.
+  // every peer and the listener.
   void close_all(std::uint64_t drain_timeout_ms = 2000);
 
   // Peers that are still connected, in id order.
   std::vector<GridNodeId> connected_peers() const;
-  // The Hello an accepted peer introduced itself with.
-  std::optional<Hello> hello_of(GridNodeId peer) const;
   // The identity a peer proved at handshake (require_auth grids only).
   std::optional<auth::AuthInfo> auth_of(GridNodeId peer) const;
 
-  // Inbound frames that failed decode_message (hostile or corrupt bytes —
-  // counted and dropped, never fatal), and streams that ended mid-frame.
-  std::uint64_t frames_undecodable() const { return frames_undecodable_; }
-  std::uint64_t streams_truncated() const { return streams_truncated_; }
-  // Connections refused by the authenticated handshake.
-  std::uint64_t handshakes_refused() const { return handshakes_refused_; }
-
   // Snapshot of the I/O-layer counters (see TcpIoStats).
   TcpIoStats io_stats() const;
-  unsigned io_loops() const { return static_cast<unsigned>(loops_.size()); }
 
  private:
   struct Peer {
@@ -276,12 +212,11 @@ class TcpTransport final : public Transport {
     std::deque<Bytes> write_queue;
     std::size_t write_front_offset = 0;  // bytes of front() already written
     std::size_t write_pending = 0;       // unsent bytes across the queue
-    bool flush_queued = false;     // already on the loop's flush list
+    bool flush_queued = false;     // already on the flush list
     bool accepted = false;         // true: inbound (must Hello first)
     bool greeted = false;          // Hello seen (accepted peers)
     bool failed = false;           // doomed; erased at the next reap()
     Interest armed = Interest::kNone;  // current engine registration
-    std::optional<Hello> hello;
     Bytes nonce;                   // outstanding challenge (auth acceptor)
     std::optional<auth::AuthInfo> auth;  // proven identity, once greeted
     // Chaos state (options.chaos only; null link = clean connection):
@@ -299,110 +234,42 @@ class TcpTransport final : public Transport {
     std::uint64_t wakeup_at_ms = 0;
   };
 
-  // One event loop: engine + wheel + the peers it owns. With io_threads ==
-  // 1 there is exactly one, driven inline by run(); otherwise each runs on
-  // its own thread and owns its slice of the fd space.
-  struct Loop {
-    std::size_t index = 0;
-    std::unique_ptr<EventEngine> engine;
-    TimerWheel wheel;
-    Socket listener;
-    std::map<std::uint32_t, Peer> peers;
-    std::vector<std::uint32_t> doomed;
-    Bytes encode_scratch;
-    Bytes read_scratch;  // recv target, sized once, reused for every read
-    // Peers with frames enqueued this round, flushed in one vectored write
-    // each just before the next engine wait (flush_scratch is the swap
-    // target, so a flush can enqueue more without invalidating iteration).
-    std::vector<std::uint32_t> flush_list;
-    std::vector<std::uint32_t> flush_scratch;
-    std::vector<ReadyEvent> ready_scratch;
-    std::vector<TimerWheel::TimerId> fired_scratch;
-    std::optional<TimerWheel::TimerId> quiescence_timer;  // single-loop only
-    // Peer-service timers (chaos releases / stall ends / eviction): fired
-    // id -> owning peer. Loop-thread-only, like the peers map.
-    std::map<TimerWheel::TimerId, std::uint32_t> peer_timers;
-    std::atomic<std::size_t> write_queue_hwm{0};
-    // Cross-thread plumbing (multi-loop only): closures submitted by the
-    // protocol thread (sends, adopted connections), plus the wake pipe that
-    // interrupts a sleeping engine wait.
-    Socket wake_read;
-    Socket wake_write;
-    std::mutex tasks_mutex;
-    std::vector<std::function<void()>> tasks;
-    std::thread thread;
-
-    explicit Loop(TimerWheel wheel_in) : wheel(std::move(wheel_in)) {}
-  };
-
-  // A peer lifecycle or protocol event crossing the loop → protocol-thread
-  // mailbox (multi-loop mode); delivered inline in single-loop mode.
-  struct Event {
-    enum class Kind {
-      kMessage,
-      kHello,
-      kAuthenticated,
-      kAuthRefused,
-      kDisconnected,
-    };
-    Kind kind = Kind::kMessage;
-    GridNodeId peer{};
-    std::size_t bytes = 0;  // payload size (kMessage), for metering
-    Message message;
-    Hello hello;
-    auth::HandshakeStatus status = auth::HandshakeStatus::kOk;
-    auth::AuthInfo info;
-  };
-
-  bool threaded() const { return loops_.size() > 1; }
   std::uint64_t now_ms() const;
-  Loop& loop_for_new_connection();
-  void submit(Loop& loop, std::function<void()> task);
-  void start_threads();
-  void stop_threads();
-  void loop_thread(Loop& loop);
-  void run_single(const std::function<bool()>& done);
-  void run_threaded(const std::function<bool()>& done);
-  // Routes an event to the protocol thread: posted to the mailbox in
-  // threaded mode, delivered inline otherwise.
-  void emit(Event event);
-  void deliver(Event& event);
   void arm_quiescence(std::uint64_t now);
-  void accept_pending(Loop& loop);
-  // Installs a connection on `loop` (engine registration, auth challenge).
-  void adopt_connection(Loop& loop, std::uint32_t id, Socket socket,
-                        bool accepted);
+  // Accepts until the backlog is empty. Out of descriptors, it parks the
+  // listener and leaves the rest queued for the accept-retry timer.
+  void accept_pending();
+  // Installs a connection (engine registration, auth challenge).
+  void adopt_connection(std::uint32_t id, Socket socket, bool accepted);
   // Reads until would-block or the per-round fairness bound; decodes and
   // dispatches every complete frame. Returns true on any progress.
-  bool service_read(Loop& loop, GridNodeId id, Peer& peer);
+  bool service_read(GridNodeId id, Peer& peer);
   // Flushes the peer's write queue until would-block: up to kMaxWriteIov
   // queued frames per vectored write, partial writes resumed from the exact
   // byte the kernel (or the chaos clamp) stopped at. Returns true on any
   // progress.
-  bool service_write(Loop& loop, GridNodeId id, Peer& peer);
+  bool service_write(GridNodeId id, Peer& peer);
   // Advances the queue past `written` bytes, recycling fully-written frames
   // into the pool. Returns how many frames completed (for the histogram).
   std::size_t advance_write_queue(Peer& peer, std::size_t written);
   // Re-arms the engine registration to match the peer's pending writes.
-  void sync_interest(Loop& loop, GridNodeId id, Peer& peer);
-  void dispatch(Loop& loop, GridNodeId from, Peer& peer, BytesView payload);
+  void sync_interest(GridNodeId id, Peer& peer);
+  void dispatch(GridNodeId from, Peer& peer, BytesView payload);
   // After frames joined a peer's write queue: tracks the high-water mark,
-  // enforces the backpressure cap, and puts the peer on the loop's flush
-  // list — the actual write happens once per round (flush_pending), so a
-  // burst of sends coalesces into one vectored write. Loop-thread context
-  // (or single-loop).
-  void finish_enqueue(Loop& loop, GridNodeId to, Peer& peer);
-  // Drains the loop's flush list: one service_write + interest re-arm per
-  // dirty peer. Called just before every engine wait. Returns true on any
-  // write progress.
-  bool flush_pending(Loop& loop);
+  // enforces the backpressure cap, and puts the peer on the flush list —
+  // the actual write happens once per round (flush_pending), so a burst of
+  // sends coalesces into one vectored write.
+  void finish_enqueue(GridNodeId to, Peer& peer);
+  // Drains the flush list: one service_write + interest re-arm per dirty
+  // peer. Called just before every engine wait. Returns true on any write
+  // progress.
+  bool flush_pending();
   // The enqueue front door: sheds above the watermark (protocol frames
   // only), detours through the chaos delay queue when the peer's link has
   // latency, otherwise moves the frame onto write_queue and finishes.
   // `framed` carries the 4-byte length prefix already and is consumed
-  // (queued, delayed, or recycled). Loop-thread context.
-  void enqueue_framed(Loop& loop, GridNodeId to, Peer& peer, Bytes framed,
-                      bool control);
+  // (queued, delayed, or recycled).
+  void enqueue_framed(GridNodeId to, Peer& peer, Bytes framed, bool control);
   // Frame-buffer pool shared by every enqueue path: acquire an empty Bytes
   // (recycled capacity where available), release it once the kernel has the
   // bytes. Keeps the per-message hot path allocation-free at steady state.
@@ -411,104 +278,69 @@ class TcpTransport final : public Transport {
   // Moves due delayed frames onto the wire, ends read stalls, enforces
   // eviction, and re-arms the peer's wakeup timer. Returns true if frames
   // hit the write path (progress, for quiescence purposes).
-  bool service_peer_wakeup(Loop& loop, GridNodeId id, Peer& peer);
+  bool service_peer_wakeup(GridNodeId id, Peer& peer);
   // Arms (or pulls earlier) the peer's single service timer.
-  void schedule_peer_wakeup(Loop& loop, GridNodeId id, Peer& peer,
-                            std::uint64_t at_ms);
+  void schedule_peer_wakeup(GridNodeId id, Peer& peer, std::uint64_t at_ms);
   // The quiescence timeout currently in force (adaptive or fixed).
   std::uint64_t effective_quiescence_ms() const;
   // Chaos read-stall entry: true when the read must be skipped this round.
-  bool chaos_stall_read(Loop& loop, GridNodeId id, Peer& peer);
+  bool chaos_stall_read(GridNodeId id, Peer& peer);
   // Encodes, frames, and queues a handshake control frame for `peer`,
   // bypassing NetworkStats (the meter counts scheme traffic, comparable
   // across transports; the handshake is TcpTransport plumbing).
-  void queue_control_frame(Loop& loop, GridNodeId to, Peer& peer,
-                           const Message& message);
+  void queue_control_frame(GridNodeId to, Peer& peer, const Message& message);
   // Counts the refusal, reports it, and poisons the stream.
   [[noreturn]] void refuse_handshake(GridNodeId from,
                                      auth::HandshakeStatus status,
                                      const auth::AuthInfo& info);
   // Marks the peer dead and closes its socket; safe mid-iteration (the map
   // entry survives until reap()).
-  void drop_peer(Loop& loop, GridNodeId id, const char* why);
-  // Erases doomed peers and emits disconnect events.
-  void reap(Loop& loop);
-  bool pump_local_flush();
+  void drop_peer(GridNodeId id);
+  // Erases doomed peers and reports their disconnects.
+  void reap();
   // Bounded write-drain used by close_all: waits on writability alone (the
   // drain deadline caps the sleep — no constant-interval spinning), then
-  // closes everything the loop owns.
-  void drain_and_close(Loop& loop, std::uint64_t deadline_ms);
+  // closes everything.
+  void drain_and_close(std::uint64_t deadline_ms);
 
   TcpTransportOptions options_;
-  std::vector<std::unique_ptr<Loop>> loops_;
+  std::unique_ptr<EventEngine> engine_;
+  TimerWheel wheel_;
+  Socket listener_;
+  // Armed while the listener is parked after running out of descriptors.
+  std::optional<TimerWheel::TimerId> accept_retry_;
+  std::map<std::uint32_t, Peer> peers_;
+  std::vector<std::uint32_t> doomed_;
   GridNode* local_ = nullptr;
-  std::atomic<std::uint32_t> next_id_{0};
+  std::uint32_t next_id_ = 0;
   NetworkStats stats_;
+  TcpIoStats io_;
   std::chrono::steady_clock::time_point epoch_;
-  Bytes send_scratch_;  // protocol-thread encode buffer (threaded sends)
 
-  // Peer id → owning loop + liveness. The only cross-loop index; touched at
-  // connection setup/teardown and by sends, never per frame.
-  struct PeerRef {
-    std::size_t loop = 0;
-    bool alive = true;
-  };
-  mutable std::mutex index_mutex_;
-  std::map<std::uint32_t, PeerRef> peer_index_;
-
-  // Protocol-thread registry behind hello_of/auth_of (loop threads own the
-  // Peer structs, so lookups must not reach into them).
-  struct PeerInfo {
-    std::optional<Hello> hello;
-    std::optional<auth::AuthInfo> auth;
-  };
-  mutable std::mutex registry_mutex_;
-  std::map<std::uint32_t, PeerInfo> registry_;
-
-  // Loop → protocol-thread mailbox (threaded mode).
-  std::mutex inbox_mutex_;
-  std::condition_variable inbox_cv_;
-  std::deque<Event> inbox_;
-
-  std::atomic<bool> stop_{false};
-  bool threads_started_ = false;
-
-  std::atomic<std::uint64_t> frames_undecodable_{0};
-  std::atomic<std::uint64_t> streams_truncated_{0};
-  std::atomic<std::uint64_t> handshakes_refused_{0};
-  // Syscall/batching accounting (see TcpIoStats): bumped relaxed on the
-  // loop threads' hot paths, snapshotted by io_stats().
-  std::atomic<std::uint64_t> read_calls_{0};
-  std::atomic<std::uint64_t> write_calls_{0};
-  std::atomic<std::uint64_t> frames_sent_{0};
-  std::array<std::atomic<std::uint64_t>, 7> frames_per_write_hist_{};
-  // Frame-buffer pool (acquire_frame/release_frame): shared by the protocol
-  // thread's encode path and every loop's write path.
-  std::mutex frame_pool_mutex_;
+  Bytes encode_scratch_;
+  Bytes read_scratch_;  // recv target, sized once, reused for every read
+  // Peers with frames enqueued this round, flushed in one vectored write
+  // each just before the next engine wait (flush_scratch_ is the swap
+  // target, so a flush can enqueue more without invalidating iteration).
+  std::vector<std::uint32_t> flush_list_;
+  std::vector<std::uint32_t> flush_scratch_;
+  std::vector<ReadyEvent> ready_scratch_;
+  std::vector<TimerWheel::TimerId> fired_scratch_;
   std::vector<Bytes> frame_pool_;
-  std::atomic<std::uint64_t> frames_shed_{0};
-  std::atomic<std::uint64_t> peers_evicted_{0};
-  std::atomic<std::uint64_t> chaos_accept_resets_{0};
-  std::atomic<std::uint64_t> chaos_disconnects_{0};
-  std::atomic<std::uint64_t> chaos_frames_delayed_{0};
-  std::atomic<std::uint64_t> chaos_read_stalls_{0};
+  std::optional<TimerWheel::TimerId> quiescence_timer_;
+  // Peer-service timers (chaos releases / stall ends / eviction): fired
+  // id -> owning peer.
+  std::map<TimerWheel::TimerId, std::uint32_t> peer_timers_;
 
-  // Adaptive quiescence (protocol-thread-only, like stats_): observed
-  // inter-message gaps per peer feed the estimator; the effective timeout
-  // is read when (re-)arming quiescence.
+  // Adaptive quiescence: observed inter-message gaps per peer feed the
+  // estimator; the effective timeout is read when (re-)arming quiescence.
   AdaptiveTimeout quiescence_estimator_;
   std::map<std::uint32_t, std::uint64_t> last_message_ms_;
 
   std::optional<AuthOptions> auth_;  // acceptor: challenge + verify
-  std::mutex nonce_mutex_;           // loops mint challenge nonces
   std::optional<Rng> nonce_rng_;     // challenge-nonce stream
   std::optional<auth::WorkerIdentity> identity_;  // connector: answer
   std::string agent_;
-  std::size_t next_connect_loop_ = 0;
-  // Accept-and-dispatch fallback (multi-loop without SO_REUSEPORT): loop 0
-  // accepts and hands connections round-robin to the other loops.
-  bool dispatch_accept_ = false;
-  std::size_t next_accept_loop_ = 0;
 };
 
 }  // namespace ugc::net

@@ -1,12 +1,9 @@
 #include "scheme/exchange.h"
 
-#include <iterator>
 #include <map>
 #include <utility>
 
 #include "common/error.h"
-#include "common/parallel.h"
-#include "common/rng.h"
 
 namespace ugc {
 
@@ -93,45 +90,6 @@ SchemeExchangeResult run_scheme_exchange(
     std::shared_ptr<const ResultVerifier> verifier, std::uint64_t seed) {
   return run_scheme_exchange(scheme, std::vector<Task>{task}, config,
                              std::move(policy), std::move(verifier), seed);
-}
-
-SchemeExchangeResult run_scheme_exchanges_parallel(
-    const VerificationScheme& scheme, const std::vector<Task>& tasks,
-    const SchemeConfig& config, std::shared_ptr<const HonestyPolicy> policy,
-    std::shared_ptr<const ResultVerifier> verifier, std::uint64_t seed,
-    unsigned threads) {
-  check(!tasks.empty(),
-        "run_scheme_exchanges_parallel: at least one task required");
-
-  // Seeds are drawn serially up front so every thread count sees the same
-  // per-task streams.
-  Rng master(seed);
-  std::vector<std::uint64_t> seeds(tasks.size());
-  for (std::uint64_t& s : seeds) {
-    s = master.next();
-  }
-
-  std::vector<SchemeExchangeResult> partial(tasks.size());
-  parallel_for(
-      0, tasks.size(),
-      [&](std::uint64_t i) {
-        partial[i] = run_scheme_exchange(scheme, tasks[i], config, policy,
-                                         verifier, seeds[i]);
-      },
-      threads);
-
-  SchemeExchangeResult merged;
-  for (SchemeExchangeResult& result : partial) {
-    std::move(result.verdicts.begin(), result.verdicts.end(),
-              std::back_inserter(merged.verdicts));
-    std::move(result.reports.begin(), result.reports.end(),
-              std::back_inserter(merged.reports));
-    std::move(result.supervisor_hits.begin(), result.supervisor_hits.end(),
-              std::back_inserter(merged.supervisor_hits));
-    merged.participant_evaluations += result.participant_evaluations;
-    merged.results_verified += result.results_verified;
-  }
-  return merged;
 }
 
 }  // namespace ugc

@@ -53,22 +53,4 @@ SchemeExchangeResult run_scheme_exchange(
     std::shared_ptr<const ResultVerifier> verifier = nullptr,
     std::uint64_t seed = 1);
 
-// The many-participants pump: one *independent* exchange per task (its own
-// participant and supervisor session pair), driven concurrently across up to
-// `threads` workers (0 = hardware concurrency). This is the supervisor-side
-// throughput path for grids where every participant holds its own subdomain
-// — thousands of sessions verify in parallel.
-//
-// Deterministic and serial-identical by construction: per-task seeds are
-// drawn from `seed` up front in task order, every session pair only touches
-// its own state (policy / verifier / scheme are shared but const and
-// thread-safe), and results merge in task order — so any thread count,
-// including 1, produces byte-identical verdicts, reports, hits, and counters
-// (pinned by golden test). Aggregate counters sum across tasks.
-SchemeExchangeResult run_scheme_exchanges_parallel(
-    const VerificationScheme& scheme, const std::vector<Task>& tasks,
-    const SchemeConfig& config, std::shared_ptr<const HonestyPolicy> policy,
-    std::shared_ptr<const ResultVerifier> verifier, std::uint64_t seed,
-    unsigned threads = 0);
-
 }  // namespace ugc

@@ -7,24 +7,12 @@
 #   - no honest worker is rejected or flagged,
 #   - every worker process exits 0 with a verdict in hand.
 #
-# usage: loopback_grid.sh <gridd> <gridworker> [scheme] [engine]
-#
-# When [engine] is given (uring/epoll/poll), every process in the exchange
-# is pinned to that readiness backend. The script probes the kernel first
-# via `gridd --probe-engine` and exits 77 (CTest's skip code) when the
-# backend cannot be constructed there — so a uring leg stays green on
-# kernels without io_uring.
+# usage: loopback_grid.sh <gridd> <gridworker> [scheme]
 set -u
 
 GRIDD=${1:?path to gridd}
 GRIDWORKER=${2:?path to gridworker}
 SCHEME=${3:-cbs}
-ENGINE=${4:-auto}
-
-if ! "$GRIDD" --probe-engine "$ENGINE"; then
-  echo "SKIP: engine $ENGINE is not constructible on this kernel" >&2
-  exit 77
-fi
 
 WORKDIR=$(mktemp -d)
 trap 'kill $(jobs -p) 2>/dev/null; wait 2>/dev/null; rm -rf "$WORKDIR"' EXIT
@@ -40,7 +28,7 @@ fail() {
 
 # Ephemeral port: gridd binds port 0 and prints the port it got.
 "$GRIDD" --port 0 --workers 3 --workload test --scheme "$SCHEME" \
-         --domain-begin 0 --domain-end 3072 --seed 7 --engine "$ENGINE" \
+         --domain-begin 0 --domain-end 3072 --seed 7 \
          --idle-timeout-ms 2000 >"$WORKDIR/gridd.log" 2>&1 &
 GRIDD_PID=$!
 
@@ -55,13 +43,13 @@ done
 [ -n "$PORT" ] || fail "gridd never printed its port"
 
 "$GRIDWORKER" --connect "127.0.0.1:$PORT" --agent honest-1 \
-              --engine "$ENGINE" >"$WORKDIR/honest-1.log" 2>&1 &
+              >"$WORKDIR/honest-1.log" 2>&1 &
 W1=$!
 "$GRIDWORKER" --connect "127.0.0.1:$PORT" --agent honest-2 \
-              --engine "$ENGINE" >"$WORKDIR/honest-2.log" 2>&1 &
+              >"$WORKDIR/honest-2.log" 2>&1 &
 W2=$!
 "$GRIDWORKER" --connect "127.0.0.1:$PORT" --agent cheater-1 \
-              --cheat semi-honest:0.5 --seed 99 --engine "$ENGINE" \
+              --cheat semi-honest:0.5 --seed 99 \
               >"$WORKDIR/cheater-1.log" 2>&1 &
 W3=$!
 
@@ -95,4 +83,4 @@ grep -q "status=accepted" "$WORKDIR/honest-2.log" || fail "honest-2 saw no accep
 grep -Eq "status=(wrong-result|root-mismatch|malformed)" "$WORKDIR/cheater-1.log" \
   || fail "cheater saw no rejection verdict"
 
-echo "PASS: $SCHEME loopback grid (engine=$ENGINE) caught the cheater and paid the honest workers"
+echo "PASS: $SCHEME loopback grid caught the cheater and paid the honest workers"

@@ -1,11 +1,12 @@
 // Backend-conformance tests for the readiness engine (src/net/event_engine).
-// Every test runs against all three backends — io_uring and epoll (Linux)
-// and the portable poll() fallback — through the same TEST_P body: they
-// must be behaviorally interchangeable, because TcpTransport picks between
-// them at runtime and every higher layer assumes the choice is invisible.
+// Every test runs against both backends — epoll (Linux) and the portable
+// poll() fallback — through the same TEST_P body: they must be
+// behaviorally interchangeable, because every higher layer assumes the
+// platform's choice is invisible.
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <memory>
@@ -24,15 +25,32 @@ using net::EventEngine;
 using net::Interest;
 using net::ReadyEvent;
 
+// A non-blocking pipe, {read end, write end}: the simplest fd whose
+// readiness a test controls byte by byte.
+std::pair<net::Socket, net::Socket> make_pipe() {
+  int fds[2];
+  if (::pipe(fds) != 0) {
+    throw Error("pipe failed");
+  }
+  net::Socket read_end(fds[0]);
+  net::Socket write_end(fds[1]);
+  for (const int fd : fds) {
+    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
+  }
+  return {std::move(read_end), std::move(write_end)};
+}
+
+void drain(const net::Socket& read_end) {
+  std::uint8_t buffer[256];
+  while (::read(read_end.fd(), buffer, sizeof(buffer)) > 0) {
+  }
+}
+
 class EventEngineBackend : public ::testing::TestWithParam<EngineBackend> {
  protected:
   void SetUp() override {
     if (GetParam() == EngineBackend::kEpoll && !net::epoll_supported()) {
       GTEST_SKIP() << "epoll not available on this platform";
-    }
-    if (GetParam() == EngineBackend::kUring && !net::uring_supported()) {
-      GTEST_SKIP() << "io_uring not available on this kernel (missing, "
-                      "disabled, or pre-5.11) — uring backend untested here";
     }
     engine_ = net::make_event_engine(GetParam());
   }
@@ -47,7 +65,7 @@ TEST_P(EventEngineBackend, ReportsItsBackendName) {
 }
 
 TEST_P(EventEngineBackend, PipeReadinessRoundTrip) {
-  auto [read_end, write_end] = net::make_wake_pipe();
+  auto [read_end, write_end] = make_pipe();
   engine_->add(read_end.fd(), 42, Interest::kRead);
   EXPECT_EQ(engine_->watched(), 1u);
 
@@ -66,16 +84,15 @@ TEST_P(EventEngineBackend, PipeReadinessRoundTrip) {
   // Level-triggered: the event repeats until the byte is drained.
   engine_->wait(0, ready_);
   ASSERT_EQ(ready_.size(), 1u);
-  net::drain_wake_pipe(read_end);
+  drain(read_end);
   engine_->wait(0, ready_);
   EXPECT_TRUE(ready_.empty());
 }
 
 TEST_P(EventEngineBackend, TokensSurviveTheFullSixtyFourBits) {
-  // TcpTransport packs sentinel tokens above the 32-bit peer-id space
-  // (listener at 1<<32, wake pipe at 1<<33); the engine must hand back
-  // whatever it was given, bit for bit.
-  auto [read_end, write_end] = net::make_wake_pipe();
+  // TcpTransport packs its listener token above the 32-bit peer-id space
+  // (1<<32); the engine must hand back whatever it was given, bit for bit.
+  auto [read_end, write_end] = make_pipe();
   const std::uint64_t token = (1ull << 33) | 0xdeadbeefull;
   engine_->add(read_end.fd(), token, Interest::kRead);
   const std::uint8_t byte = 1;
@@ -86,7 +103,7 @@ TEST_P(EventEngineBackend, TokensSurviveTheFullSixtyFourBits) {
 }
 
 TEST_P(EventEngineBackend, WriteInterestAndModify) {
-  auto [read_end, write_end] = net::make_wake_pipe();
+  auto [read_end, write_end] = make_pipe();
   // An empty pipe's write end is immediately writable.
   engine_->add(write_end.fd(), 7, Interest::kWrite);
   engine_->wait(1000, ready_);
@@ -107,7 +124,7 @@ TEST_P(EventEngineBackend, WriteInterestAndModify) {
 }
 
 TEST_P(EventEngineBackend, PeerHangupSurfacesAsReadableOrError) {
-  auto [read_end, write_end] = net::make_wake_pipe();
+  auto [read_end, write_end] = make_pipe();
   engine_->add(read_end.fd(), 9, Interest::kRead);
   write_end.close();
   engine_->wait(1000, ready_);
@@ -118,18 +135,18 @@ TEST_P(EventEngineBackend, PeerHangupSurfacesAsReadableOrError) {
 }
 
 TEST_P(EventEngineBackend, DuplicateAddThrows) {
-  auto [read_end, write_end] = net::make_wake_pipe();
+  auto [read_end, write_end] = make_pipe();
   engine_->add(read_end.fd(), 1, Interest::kRead);
   EXPECT_THROW(engine_->add(read_end.fd(), 2, Interest::kRead), Error);
 }
 
 TEST_P(EventEngineBackend, ModifyUnknownFdThrows) {
-  auto [read_end, write_end] = net::make_wake_pipe();
+  auto [read_end, write_end] = make_pipe();
   EXPECT_THROW(engine_->modify(read_end.fd(), 1, Interest::kRead), Error);
 }
 
 TEST_P(EventEngineBackend, RemoveIsIdempotentAndSilencesTheFd) {
-  auto [read_end, write_end] = net::make_wake_pipe();
+  auto [read_end, write_end] = make_pipe();
   engine_->add(read_end.fd(), 5, Interest::kRead);
   const std::uint8_t byte = 1;
   ASSERT_EQ(::write(write_end.fd(), &byte, 1), 1);
@@ -146,7 +163,7 @@ TEST_P(EventEngineBackend, ManyFdsOnlyReadyOnesReported) {
   // event comes back.
   std::vector<std::pair<net::Socket, net::Socket>> pipes;
   for (std::uint64_t i = 0; i < 64; ++i) {
-    pipes.push_back(net::make_wake_pipe());
+    pipes.push_back(make_pipe());
     engine_->add(pipes.back().first.fd(), i, Interest::kRead);
   }
   EXPECT_EQ(engine_->watched(), 64u);
@@ -159,15 +176,13 @@ TEST_P(EventEngineBackend, ManyFdsOnlyReadyOnesReported) {
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, EventEngineBackend,
-    ::testing::Values(EngineBackend::kPoll, EngineBackend::kEpoll,
-                      EngineBackend::kUring),
+    ::testing::Values(EngineBackend::kPoll, EngineBackend::kEpoll),
     [](const ::testing::TestParamInfo<EngineBackend>& info) {
       return std::string(to_string(info.param));
     });
 
 TEST(EventEngineFactory, ParseBackendRoundTrips) {
   EXPECT_EQ(net::parse_engine_backend("auto"), EngineBackend::kAuto);
-  EXPECT_EQ(net::parse_engine_backend("uring"), EngineBackend::kUring);
   EXPECT_EQ(net::parse_engine_backend("epoll"), EngineBackend::kEpoll);
   EXPECT_EQ(net::parse_engine_backend("poll"), EngineBackend::kPoll);
   EXPECT_THROW(net::parse_engine_backend("kqueue"), Error);
@@ -175,21 +190,8 @@ TEST(EventEngineFactory, ParseBackendRoundTrips) {
 
 TEST(EventEngineFactory, AutoPicksTheBestAvailableBackend) {
   const auto engine = net::make_event_engine(EngineBackend::kAuto);
-  const char* expected = net::uring_supported()   ? "uring"
-                         : net::epoll_supported() ? "epoll"
-                                                  : "poll";
-  EXPECT_EQ(std::string(engine->name()), expected);
-}
-
-TEST(EventEngineFactory, ExplicitUringFailsLoudlyWhereUnsupported) {
-  // kAuto falls back; an explicit --engine uring must not silently demote.
-  if (net::uring_supported()) {
-    EXPECT_EQ(std::string(
-                  net::make_event_engine(EngineBackend::kUring)->name()),
-              "uring");
-  } else {
-    EXPECT_THROW(net::make_event_engine(EngineBackend::kUring), Error);
-  }
+  EXPECT_EQ(std::string(engine->name()),
+            net::epoll_supported() ? "epoll" : "poll");
 }
 
 }  // namespace

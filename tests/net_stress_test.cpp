@@ -1,16 +1,12 @@
-// Multi-loop transport stress: many concurrent clients churning against a
-// TcpTransport running with io_threads > 1, under both accept strategies
-// (SO_REUSEPORT sharded listeners and the accept-and-dispatch fallback).
-// What must hold, per the threading contract in grid/transport.h:
+// Transport stress: many concurrent clients churning against one
+// TcpTransport, with hostile connections interleaved. What must hold:
 //
-//   - every peer lives on exactly one loop (io_stats().peers_per_loop sums
-//     to the live population; no peer is double-counted or lost),
 //   - frames from one peer never interleave with another's (per-client
 //     sequence numbers echo back strictly in order),
 //   - a peer disconnects exactly once (no double-reap under churn),
-//   - PR-4-style fault behaviors — hostile frame lengths, undecodable
-//     payloads, mid-frame disconnects — take down only their own
-//     connection and are counted, even at multi-loop concurrency.
+//   - hostile frame lengths, undecodable payloads and mid-frame
+//     disconnects take down only their own connection and are counted,
+//   - a burst of unsolicited sends, one per connected peer, all arrive.
 
 #include <gtest/gtest.h>
 
@@ -29,21 +25,17 @@
 namespace ugc {
 namespace {
 
-net::TcpTransportOptions multi_loop_options(bool sharded_accept) {
+net::TcpTransportOptions stress_options() {
   net::TcpTransportOptions options;
   options.quiescence_timeout_ms = 300;
-  options.io_threads = 3;
-  options.sharded_accept = sharded_accept;
   if (const char* engine = std::getenv("UGC_NET_ENGINE")) {
     options.engine = net::parse_engine_backend(engine);
   }
   return options;
 }
 
-// Echo node: bounces every message straight back. All callbacks fire on
-// the run() thread, so transport.send() here is on the protocol thread —
-// which is exactly the send contract the stress is meant to exercise
-// (protocol thread encodes, owning loop flushes).
+// Echo node: bounces every message straight back, from inside the
+// callback — the send path every protocol reply takes.
 struct EchoNode : GridNode {
   void on_message(GridNodeId from, const Message& message,
                   Transport& transport) override {
@@ -87,8 +79,9 @@ std::size_t run_sequenced_client(std::uint16_t port, std::uint32_t client,
   Bytes scratch(4096);
   std::size_t in_order = 0;
   for (std::size_t round = 0; round < rounds; ++round) {
-    // Tag the task id with (client, round): if loops ever interleaved two
-    // peers' streams, some client would see a wrong or out-of-order tag.
+    // Tag the task id with (client, round): if the transport ever
+    // interleaved two peers' streams, some client would see a wrong or
+    // out-of-order tag.
     const TaskId tag{(static_cast<std::uint64_t>(client) << 20) | round};
     net::append_frame(encode_message(Message{SampleChallenge{tag, {}}}), out);
     if (!flush()) {
@@ -113,7 +106,7 @@ std::size_t run_sequenced_client(std::uint16_t port, std::uint32_t client,
           ++in_order;
           answered = true;
         } else {
-          return in_order;  // wrong frame: ownership was violated
+          return in_order;  // wrong frame: streams were mixed up
         }
       }
     }
@@ -122,14 +115,12 @@ std::size_t run_sequenced_client(std::uint16_t port, std::uint32_t client,
   return in_order;
 }
 
-class MultiLoopStress : public ::testing::TestWithParam<bool> {};
-
-TEST_P(MultiLoopStress, ChurnPreservesPerLoopOwnership) {
+TEST(TcpTransportStress, ChurnKeepsStreamsInOrderAndReapsOnce) {
   constexpr std::size_t kClients = 24;
   constexpr std::size_t kRounds = 16;
   constexpr std::size_t kFaulty = 6;  // interleaved hostile connections
 
-  net::TcpTransport server(multi_loop_options(GetParam()));
+  net::TcpTransport server(stress_options());
   struct : EchoNode {
   } echo;
   server.add_local(echo);
@@ -153,8 +144,8 @@ TEST_P(MultiLoopStress, ChurnPreservesPerLoopOwnership) {
       const std::lock_guard<std::mutex> lock(results_mutex);
       results.push_back(in_order);
     });
-    // Interleave fault churn with honest traffic: each fault kind from the
-    // PR-4 suite, arriving while other loops are mid-exchange.
+    // Interleave fault churn with honest traffic: each fault kind arrives
+    // while other clients are mid-exchange.
     if (i < kFaulty) {
       clients.emplace_back([port, i] {
         net::Socket hostile = net::tcp_connect("127.0.0.1", port);
@@ -165,7 +156,7 @@ TEST_P(MultiLoopStress, ChurnPreservesPerLoopOwnership) {
         } else if (i % 3 == 1) {
           // Valid frame, undecodable payload.
           Bytes stream;
-          net::append_frame(to_bytes("multi-loop junk"), stream);
+          net::append_frame(to_bytes("stress junk"), stream);
           (void)net::write_some(hostile, stream);
         } else {
           // Mid-frame vanish: announce 64 bytes, deliver 2.
@@ -177,8 +168,8 @@ TEST_P(MultiLoopStress, ChurnPreservesPerLoopOwnership) {
     }
   }
 
-  // The protocol thread serves until every honest client has finished its
-  // rounds and every connection (honest + hostile) has been reaped.
+  // The server runs until every honest client has finished its rounds and
+  // every connection (honest + hostile) has been reaped.
   server.run([&] {
     std::size_t finished;
     {
@@ -192,7 +183,7 @@ TEST_P(MultiLoopStress, ChurnPreservesPerLoopOwnership) {
   for (std::thread& thread : clients) {
     thread.join();
   }
-  const net::TcpIoStats mid_run = server.io_stats();
+  const net::TcpIoStats io = server.io_stats();
   server.close_all();
 
   // Every honest client got every echo, in order.
@@ -209,30 +200,17 @@ TEST_P(MultiLoopStress, ChurnPreservesPerLoopOwnership) {
                         << " times";
   }
 
-  // Ownership accounting: three loops exist, and the loop census never
-  // exceeds the population (it is a live count, so post-churn it is low).
-  EXPECT_EQ(mid_run.io_loops, 3u);
-  EXPECT_EQ(mid_run.peers_per_loop.size(), 3u);
-
   // Each fault kind was charged to the right counter.
-  EXPECT_EQ(server.frames_undecodable(), kFaulty / 3u);
-  EXPECT_GE(server.streams_truncated(), kFaulty / 3u);
+  EXPECT_EQ(io.frames_undecodable, kFaulty / 3u);
+  EXPECT_GE(io.streams_truncated, kFaulty / 3u);
 }
 
-INSTANTIATE_TEST_SUITE_P(AcceptStrategies, MultiLoopStress,
-                         ::testing::Values(true, false),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "ShardedAccept"
-                                             : "DispatchAccept";
-                         });
-
-// The write path from the protocol thread must land on the owning loop
-// even when the target peers are spread across all loops: a burst of
-// unsolicited sends (one per connected peer) all arrive.
-TEST(MultiLoopSend, ProtocolThreadBroadcastReachesEveryLoop) {
+// Sends made between runs, one per connected peer, all reach their peers
+// once the loop runs again.
+TEST(TcpTransportStress, BroadcastReachesEveryPeer) {
   constexpr std::size_t kClients = 9;
 
-  net::TcpTransport server(multi_loop_options(true));
+  net::TcpTransport server(stress_options());
   struct : GridNode {
     void on_message(GridNodeId, const Message&, Transport&) override {}
   } sink;

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdlib>
 #include <map>
@@ -272,7 +275,7 @@ TEST(TcpTransport, UndecodableFramesAreCountedAndDropped) {
   server.on_peer_disconnected = [&](GridNodeId) { dropped = true; };
   server.run([&] { return dropped; });
   server.close_all();
-  EXPECT_EQ(server.frames_undecodable(), 1u);
+  EXPECT_EQ(server.io_stats().frames_undecodable, 1u);
 }
 
 TEST(TcpTransport, MidFrameDisconnectCountsATruncatedStream) {
@@ -290,7 +293,7 @@ TEST(TcpTransport, MidFrameDisconnectCountsATruncatedStream) {
   server.on_peer_disconnected = [&](GridNodeId) { dropped = true; };
   server.run([&] { return dropped; });
   server.close_all();
-  EXPECT_EQ(server.streams_truncated(), 1u);
+  EXPECT_EQ(server.io_stats().streams_truncated, 1u);
 }
 
 TEST(TcpTransport, SendToAVanishedPeerIsAQuietNoOp) {
@@ -390,6 +393,83 @@ void drain_until_closed(net::Socket& socket) {
   }
 }
 
+// Running out of descriptors in accept() (EMFILE) must not take the server
+// down: the connections wait in the listen backlog, the transport counts
+// the deferral and backs off, and every client registers once descriptors
+// free up. Any client can force this by opening enough connections.
+TEST(TcpTransport, OutOfDescriptorsDefersAcceptsInsteadOfThrowing) {
+  constexpr std::size_t kClients = 8;
+  net::TcpTransport server(fast_options());
+  server.listen("127.0.0.1", 0);
+  std::size_t hellos = 0;
+  server.on_peer_hello = [&](GridNodeId, const Hello&) { ++hellos; };
+
+  // The kernel completes each handshake into the backlog, where the
+  // connection and its Hello wait for accept().
+  std::vector<net::Socket> clients;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    clients.push_back(net::tcp_connect("127.0.0.1", server.port()));
+    write_frame_blocking(clients.back(),
+                         Hello{kGridProtocol, concat("fd-", i)});
+  }
+
+  // Lower the soft limit a little above the lowest free descriptor, fill
+  // every free slot below it, then free two: the server can accept two
+  // clients and no more. The guard restores both on any exit.
+  struct Limit {
+    rlimit saved{};
+    std::vector<int> fillers;
+    ~Limit() {
+      for (const int fd : fillers) {
+        ::close(fd);
+      }
+      ::setrlimit(RLIMIT_NOFILE, &saved);
+    }
+  } limit;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &limit.saved), 0);
+  const int lowest_free = ::dup(0);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit lowered = limit.saved;
+  lowered.rlim_cur = static_cast<rlim_t>(lowest_free) + 16;
+  ASSERT_LE(lowered.rlim_cur, limit.saved.rlim_max);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  for (int fd = ::dup(0); fd >= 0; fd = ::dup(0)) {
+    limit.fillers.push_back(fd);
+  }
+  ASSERT_GE(limit.fillers.size(), 2u);
+  for (int i = 0; i < 2; ++i) {
+    ::close(limit.fillers.back());
+    limit.fillers.pop_back();
+  }
+
+  const auto deadline = [](int ms) {
+    return std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+  };
+  const auto starved_until = deadline(2000);
+  EXPECT_NO_THROW(server.run([&] {
+    return (hellos == 2 && server.io_stats().accepts_deferred > 0) ||
+           std::chrono::steady_clock::now() > starved_until;
+  }));
+  EXPECT_EQ(hellos, 2u);
+  EXPECT_GT(server.io_stats().accepts_deferred, 0u);
+
+  // Descriptors come back: the parked listener re-arms and the backlog
+  // drains.
+  for (const int fd : limit.fillers) {
+    ::close(fd);
+  }
+  limit.fillers.clear();
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &limit.saved), 0);
+  const auto recovered_until = deadline(5000);
+  EXPECT_NO_THROW(server.run([&] {
+    return hellos == kClients ||
+           std::chrono::steady_clock::now() > recovered_until;
+  }));
+  EXPECT_EQ(hellos, kClients);
+  server.close_all();
+}
+
 TEST(TcpTransportAuth, AuthenticatedExchangeEstablishesDurableIdentity) {
   net::TcpTransport server(fast_options());
   server.require_auth({});
@@ -450,7 +530,7 @@ TEST(TcpTransportAuth, AuthenticatedExchangeEstablishesDurableIdentity) {
 
   ASSERT_EQ(result.verdicts.size(), 1u);
   EXPECT_TRUE(result.verdicts.begin()->second.accepted());
-  EXPECT_EQ(server.handshakes_refused(), 0u);
+  EXPECT_EQ(server.io_stats().handshakes_refused, 0u);
 }
 
 TEST(TcpTransportAuth, ForgedProofIsRefused) {
@@ -482,7 +562,7 @@ TEST(TcpTransportAuth, ForgedProofIsRefused) {
   attacker.join();
 
   EXPECT_EQ(refused, auth::HandshakeStatus::kBadMac);
-  EXPECT_EQ(server.handshakes_refused(), 1u);
+  EXPECT_EQ(server.io_stats().handshakes_refused, 1u);
   EXPECT_TRUE(server.connected_peers().empty());
 }
 
@@ -528,7 +608,7 @@ TEST(TcpTransportAuth, ReplayedStaleProofIsRefused) {
   EXPECT_EQ(authenticated, 1u) << "the original handshake was genuine";
   EXPECT_EQ(refused, auth::HandshakeStatus::kBadMac)
       << "a stale proof must not bind a fresh nonce";
-  EXPECT_EQ(server.handshakes_refused(), 1u);
+  EXPECT_EQ(server.io_stats().handshakes_refused, 1u);
 }
 
 TEST(TcpTransportAuth, BannedIdentityIsRefusedAtHello) {
@@ -573,7 +653,7 @@ TEST(TcpTransportAuth, BannedIdentityIsRefusedAtHello) {
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->worker_id, identity.id());
   EXPECT_EQ(info->agent, "banned-worker");
-  EXPECT_EQ(server.handshakes_refused(), 1u);
+  EXPECT_EQ(server.io_stats().handshakes_refused, 1u);
 }
 
 TEST(TcpTransportAuth, PlainHelloIsRefusedWhenAuthIsRequired) {
@@ -598,7 +678,7 @@ TEST(TcpTransportAuth, PlainHelloIsRefusedWhenAuthIsRequired) {
 
   EXPECT_EQ(refused, auth::HandshakeStatus::kUnauthenticated);
   EXPECT_FALSE(greeted);
-  EXPECT_EQ(server.handshakes_refused(), 1u);
+  EXPECT_EQ(server.io_stats().handshakes_refused, 1u);
 }
 
 TEST(TcpTransportAuth, SchemeTrafficBeforeProofIsRefused) {
@@ -621,7 +701,7 @@ TEST(TcpTransportAuth, SchemeTrafficBeforeProofIsRefused) {
   server.close_all();
 
   EXPECT_EQ(refused, auth::HandshakeStatus::kUnauthenticated);
-  EXPECT_EQ(server.handshakes_refused(), 1u);
+  EXPECT_EQ(server.io_stats().handshakes_refused, 1u);
 }
 
 }  // namespace

@@ -229,7 +229,12 @@ TEST(prop_net_frame, AnySplitReassemblesThroughEitherEngineBackend) {
                                net::to_string(backend), ")")),
         [backend](const StreamCase& c) -> Failure {
           const auto engine = net::make_event_engine(backend);
-          auto [read_end, write_end] = net::make_wake_pipe();
+          int fds[2];
+          if (::pipe(fds) != 0) {
+            return Failure("pipe failed");
+          }
+          const net::Socket read_end(fds[0]);
+          const net::Socket write_end(fds[1]);
           engine->add(read_end.fd(), 1, net::Interest::kRead);
 
           Rng rng(c.seed);

@@ -6,7 +6,7 @@
 // order, regardless of where the kernel (or the clamp) split it; and the
 // write_queue_hwm / frames_shed accounting must match what the enqueue
 // sequence deterministically implies. Runs under whatever engine backend
-// UGC_NET_ENGINE pins, so the CTest reruns cover poll, epoll, and uring.
+// UGC_NET_ENGINE pins, so the CTest rerun covers poll as well as epoll.
 
 #include <gtest/gtest.h>
 
