@@ -157,8 +157,7 @@ void TcpTransport::adopt_connection(std::uint32_t id, Socket socket,
   Peer incoming;
   incoming.socket = std::move(socket);
   incoming.accepted = accepted;
-  auto [it, inserted] = peers_.emplace(id, std::move(incoming));
-  Peer& peer = it->second;
+  Peer& peer = peers_.emplace(id, std::move(incoming)).first->second;
   engine_->add(peer.socket.fd(), id, Interest::kRead);
   peer.armed = Interest::kRead;
   if (options_.chaos.has_value() && options_.chaos->any()) {
@@ -887,7 +886,8 @@ void TcpTransport::run(const std::function<bool()>& done) {
   }
 }
 
-void TcpTransport::drain_and_close(std::uint64_t deadline_ms) {
+void TcpTransport::close_all(std::uint64_t drain_timeout_ms) {
+  const std::uint64_t deadline_ms = now_ms() + drain_timeout_ms;
   reap();
   // Frames enqueued since the last round haven't been written yet
   // (batched-flush discipline): give them one pass before deciding who
@@ -1006,10 +1006,6 @@ void TcpTransport::drain_and_close(std::uint64_t deadline_ms) {
   peer_timers_.clear();  // any still-armed timers fire into nothing
   accept_retry_.reset();
   listener_.close();
-}
-
-void TcpTransport::close_all(std::uint64_t drain_timeout_ms) {
-  drain_and_close(now_ms() + drain_timeout_ms);
 }
 
 }  // namespace ugc::net

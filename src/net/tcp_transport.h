@@ -191,7 +191,8 @@ class TcpTransport final : public Transport {
   void run(const std::function<bool()>& done);
 
   // Drains pending writes (bounded by `drain_timeout_ms`), then closes
-  // every peer and the listener.
+  // every peer and the listener. The drain waits on writability alone, so
+  // the deadline caps the sleep — no constant-interval spinning.
   void close_all(std::uint64_t drain_timeout_ms = 2000);
 
   // Peers that are still connected, in id order.
@@ -298,10 +299,6 @@ class TcpTransport final : public Transport {
   void drop_peer(GridNodeId id);
   // Erases doomed peers and reports their disconnects.
   void reap();
-  // Bounded write-drain used by close_all: waits on writability alone (the
-  // drain deadline caps the sleep — no constant-interval spinning), then
-  // closes everything.
-  void drain_and_close(std::uint64_t deadline_ms);
 
   TcpTransportOptions options_;
   std::unique_ptr<EventEngine> engine_;
