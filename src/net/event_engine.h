@@ -83,10 +83,12 @@ class EventEngine {
   virtual const char* name() const = 0;
 };
 
+// The values are fixed, and 1 stays unused: parameterized tests print them
+// into their test names, so renumbering would rename those tests.
 enum class EngineBackend {
-  kAuto,   // epoll on Linux, poll elsewhere
-  kEpoll,  // require epoll; make_event_engine throws where unsupported
-  kPoll,   // force the portable fallback
+  kAuto = 0,   // epoll on Linux, poll elsewhere
+  kEpoll = 2,  // require epoll; make_event_engine throws where unsupported
+  kPoll = 3,   // force the portable fallback
 };
 
 // True when this build can construct the epoll backend.

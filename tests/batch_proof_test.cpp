@@ -88,11 +88,6 @@ struct BatchCase {
   std::uint64_t seed;
 };
 
-// Names the case (and so the test): "n33_m5_seed3".
-void PrintTo(const BatchCase& c, std::ostream* os) {
-  *os << "n" << c.n << "_m" << c.m << "_seed" << c.seed;
-}
-
 class BatchProofSweep : public ::testing::TestWithParam<BatchCase> {};
 
 TEST_P(BatchProofSweep, RandomSubsetsVerify) {
@@ -117,8 +112,7 @@ INSTANTIATE_TEST_SUITE_P(
                       BatchCase{33, 5, 3},  // padded tree
                       BatchCase{64, 16, 4}, BatchCase{100, 10, 5},
                       BatchCase{256, 33, 6}, BatchCase{1000, 64, 7},
-                      BatchCase{1024, 128, 8}, BatchCase{1024, 1024, 9}),
-    ::testing::PrintToStringParamName());
+                      BatchCase{1024, 128, 8}, BatchCase{1024, 1024, 9}));
 
 TEST_P(BatchProofSweep, TamperedLeafFailsVerification) {
   const auto [n, m, seed] = GetParam();

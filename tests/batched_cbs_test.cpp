@@ -24,12 +24,6 @@ struct BatchedCase {
   unsigned storage_height;
 };
 
-// Names the case (and so the test): "n100_m8_raw_ell3".
-void PrintTo(const BatchedCase& c, std::ostream* os) {
-  *os << "n" << c.n << "_m" << c.m << "_" << to_string(c.leaf_mode) << "_ell"
-      << c.storage_height;
-}
-
 class BatchedCbsSweep : public ::testing::TestWithParam<BatchedCase> {};
 
 TEST_P(BatchedCbsSweep, HonestParticipantAccepted) {
@@ -56,8 +50,7 @@ INSTANTIATE_TEST_SUITE_P(
                       BatchedCase{64, 33, LeafMode::kRaw, 0},
                       BatchedCase{64, 16, LeafMode::kHashed, 0},
                       BatchedCase{100, 8, LeafMode::kRaw, 3},  // §3.3 storage
-                      BatchedCase{257, 14, LeafMode::kHashed, 4}),
-    ::testing::PrintToStringParamName());
+                      BatchedCase{257, 14, LeafMode::kHashed, 4}));
 
 TEST(BatchedCbs, CheaterStillCaught) {
   const Task task = make_test_task(256);

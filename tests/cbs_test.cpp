@@ -27,12 +27,6 @@ struct CbsCase {
   unsigned storage_height;
 };
 
-// Names the case (and so the test): "n64_m16_norepl_raw_ell0".
-void PrintTo(const CbsCase& c, std::ostream* os) {
-  *os << "n" << c.n << "_m" << c.m << (c.with_replacement ? "_repl_" : "_norepl_")
-      << to_string(c.leaf_mode) << "_ell" << c.storage_height;
-}
-
 class CbsHonestSweep : public ::testing::TestWithParam<CbsCase> {};
 
 TEST_P(CbsHonestSweep, HonestParticipantAccepted) {
@@ -55,21 +49,24 @@ TEST_P(CbsHonestSweep, HonestParticipantAccepted) {
   EXPECT_EQ(result.supervisor_metrics.roots_reconstructed, m);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Cases, CbsHonestSweep,
-    ::testing::Values(
-        CbsCase{1, 1, true, LeafMode::kRaw, 0},
-        CbsCase{2, 2, true, LeafMode::kRaw, 0},
-        CbsCase{16, 8, true, LeafMode::kRaw, 0},
-        CbsCase{33, 10, true, LeafMode::kRaw, 0},     // non-power-of-two
-        CbsCase{64, 33, true, LeafMode::kRaw, 0},
-        CbsCase{64, 16, false, LeafMode::kRaw, 0},    // without replacement
-        CbsCase{64, 16, true, LeafMode::kHashed, 0},  // hashed leaves
-        CbsCase{64, 8, true, LeafMode::kRaw, 2},      // §3.3 partial storage
-        CbsCase{100, 8, true, LeafMode::kRaw, 3},
-        CbsCase{257, 14, false, LeafMode::kHashed, 4},
-        CbsCase{1024, 33, true, LeafMode::kRaw, 10}),  // ℓ = H
-    ::testing::PrintToStringParamName());
+// gtest prints each case's bytes, padding included, into its test name.
+// A static array's padding is zero; a temporary's is whatever the stack
+// held, which made the names change from build to build.
+constexpr CbsCase kCbsCases[] = {
+    {1, 1, true, LeafMode::kRaw, 0},
+    {2, 2, true, LeafMode::kRaw, 0},
+    {16, 8, true, LeafMode::kRaw, 0},
+    {33, 10, true, LeafMode::kRaw, 0},     // non-power-of-two
+    {64, 33, true, LeafMode::kRaw, 0},
+    {64, 16, false, LeafMode::kRaw, 0},    // without replacement
+    {64, 16, true, LeafMode::kHashed, 0},  // hashed leaves
+    {64, 8, true, LeafMode::kRaw, 2},      // §3.3 partial storage
+    {100, 8, true, LeafMode::kRaw, 3},
+    {257, 14, false, LeafMode::kHashed, 4},
+    {1024, 33, true, LeafMode::kRaw, 10},  // ℓ = H
+};
+
+INSTANTIATE_TEST_SUITE_P(Cases, CbsHonestSweep, ::testing::ValuesIn(kCbsCases));
 
 TEST(Cbs, ScreenerHitsCollected) {
   const Task task =

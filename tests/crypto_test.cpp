@@ -66,7 +66,7 @@ struct HashVector {
 
 // Names a known-answer vector by its input ("empty", "abc",
 // "message_digest", "abcdbcdecdefdefg_len56"): gtest would otherwise print
-// the two pointers, which move from run to run.
+// the two pointers into the test name, and they move from run to run.
 void PrintTo(const HashVector& vector, std::ostream* os) {
   const std::string input = vector.input;
   if (input.empty()) {
@@ -79,11 +79,6 @@ void PrintTo(const HashVector& vector, std::ostream* os) {
   if (input.size() > 16) {
     *os << "_len" << input.size();
   }
-}
-
-std::string algorithm_name(
-    const ::testing::TestParamInfo<HashAlgorithm>& info) {
-  return to_string(info.param);
 }
 
 class Md5Kat : public ::testing::TestWithParam<HashVector> {};
@@ -107,8 +102,7 @@ INSTANTIATE_TEST_SUITE_P(
             "d174ab98d277d9f5a5611c2c9f419d9f"},
         HashVector{"1234567890123456789012345678901234567890123456789012345678"
                    "9012345678901234567890",
-                   "57edf4a22be3c955ac49da2e2107b67a"}),
-    ::testing::PrintToStringParamName());
+                   "57edf4a22be3c955ac49da2e2107b67a"}));
 
 // ---------------------------------------------------------------- SHA-1 KATs
 // FIPS 180-4 / NIST CAVS examples.
@@ -126,8 +120,7 @@ INSTANTIATE_TEST_SUITE_P(
         HashVector{"", "da39a3ee5e6b4b0d3255bfef95601890afd80709"},
         HashVector{"abc", "a9993e364706816aba3e25717850c26c9cd0d89d"},
         HashVector{"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
-                   "84983e441c3bd26ebaae4aa1f95129e5e54670f1"}),
-    ::testing::PrintToStringParamName());
+                   "84983e441c3bd26ebaae4aa1f95129e5e54670f1"}));
 
 TEST(Sha1, MillionA) {
   Sha1 sha;
@@ -162,8 +155,7 @@ INSTANTIATE_TEST_SUITE_P(
         HashVector{"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
                    "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
                    "cf5b16a778af8380036ce59e7b049237"
-                   "0b249b11e8f07a51afac45037afee9d1"}),
-    ::testing::PrintToStringParamName());
+                   "0b249b11e8f07a51afac45037afee9d1"}));
 
 TEST(Sha256, MillionA) {
   Sha256 sha;
@@ -222,8 +214,7 @@ TEST_P(IncrementalChunking, Sha1MatchesOneShot) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ChunkSizes, IncrementalChunking,
-                         ::testing::Values(1, 3, 63, 64, 65, 128, 1000, 4096),
-                         ::testing::PrintToStringParamName());
+                         ::testing::Values(1, 3, 63, 64, 65, 128, 1000, 4096));
 
 // Boundary lengths around the padding edge (55/56/57, 63/64/65 bytes).
 class PaddingBoundary : public ::testing::TestWithParam<std::size_t> {};
@@ -245,8 +236,7 @@ TEST_P(PaddingBoundary, IncrementalMatchesOneShotAtBoundary) {
 
 INSTANTIATE_TEST_SUITE_P(Boundaries, PaddingBoundary,
                          ::testing::Values(0, 1, 55, 56, 57, 63, 64, 65, 119,
-                                           120, 121, 127, 128, 129),
-                         ::testing::PrintToStringParamName());
+                                           120, 121, 127, 128, 129));
 
 TEST(Md5, ResetAllowsReuse) {
   Md5 md5;
@@ -390,8 +380,7 @@ TEST_P(HashIntoSweep, ContextStreamingMatchesOneShot) {
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, HashIntoSweep,
                          ::testing::Values(HashAlgorithm::kMd5,
                                            HashAlgorithm::kSha1,
-                                           HashAlgorithm::kSha256),
-                         algorithm_name);
+                                           HashAlgorithm::kSha256));
 
 TEST(HashInto, IteratedHashZeroAllocPathsMatchHash) {
   const auto g = make_iterated_hash(HashAlgorithm::kSha256, 9);

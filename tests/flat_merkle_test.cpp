@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/error.h"
 #include "crypto/hash_function.h"
 #include "merkle/batch_proof.h"
 #include "merkle/flat_nodes.h"
@@ -107,11 +106,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          HashAlgorithm::kSha1,
                                          HashAlgorithm::kSha256),
                        ::testing::Values(std::uint64_t{1}, std::uint64_t{3},
-                                         std::uint64_t{1023})),
-    [](const auto& info) {
-      return concat(to_string(std::get<0>(info.param)), "_n",
-                    std::get<1>(info.param));
-    });
+                                         std::uint64_t{1023})));
 
 // Parallel and serial builds must commit identical bytes, including above
 // the parallel threshold.

@@ -39,7 +39,8 @@ struct RootGolden {
   const char* root_hex;
 };
 
-// Names the case (and so the test): "sha1_n1023".
+// Names the case in the test name ("sha1_n1023"); gtest would otherwise
+// print the struct's bytes, a pointer and padding among them.
 void PrintTo(const RootGolden& golden, std::ostream* os) {
   *os << to_string(golden.algo) << "_n" << golden.n;
 }
@@ -77,8 +78,7 @@ INSTANTIATE_TEST_SUITE_P(
                    "d1a35ed395462c1d7de504875d59a26d"},
         RootGolden{HashAlgorithm::kSha256, 1023,
                    "8d7e91f342a316e1372f5e1dcb00055c"
-                   "1ffa5ecc1a4bb731887152c45b44ccc7"}),
-    ::testing::PrintToStringParamName());
+                   "1ffa5ecc1a4bb731887152c45b44ccc7"}));
 
 struct ProofGolden {
   HashAlgorithm algo;
@@ -115,8 +115,7 @@ INSTANTIATE_TEST_SUITE_P(
                     "420aeeb3ccc3c740665fc8849920921994307ef5"},
         ProofGolden{HashAlgorithm::kSha256, "8608d39e116c966a",
                     "b0407594024eebc6cb693d99030654d2"
-                    "9b0643c53de7296aaee2ffb9cf7d58af"}),
-    ::testing::PrintToStringParamName());
+                    "9b0643c53de7296aaee2ffb9cf7d58af"}));
 
 TEST(GoldenBatchProof, SiblingStreamMatchesPrePipelineBuild) {
   const auto& h = default_hash();

@@ -24,12 +24,6 @@ struct NiCbsCase {
   unsigned storage_height;
 };
 
-// Names the case (and so the test): "n64_m16_g4_raw_ell0".
-void PrintTo(const NiCbsCase& c, std::ostream* os) {
-  *os << "n" << c.n << "_m" << c.m << "_g" << c.g_iterations << "_"
-      << to_string(c.leaf_mode) << "_ell" << c.storage_height;
-}
-
 class NiCbsHonestSweep : public ::testing::TestWithParam<NiCbsCase> {};
 
 TEST_P(NiCbsHonestSweep, HonestParticipantAccepted) {
@@ -55,8 +49,7 @@ INSTANTIATE_TEST_SUITE_P(
                       NiCbsCase{64, 16, 4, LeafMode::kRaw, 0},  // slow g
                       NiCbsCase{64, 16, 1, LeafMode::kHashed, 0},
                       NiCbsCase{100, 8, 2, LeafMode::kRaw, 3},
-                      NiCbsCase{256, 128, 1, LeafMode::kRaw, 0}),
-    ::testing::PrintToStringParamName());
+                      NiCbsCase{256, 128, 1, LeafMode::kRaw, 0}));
 
 TEST(NiCbs, ProofIsDeterministicAndIdempotent) {
   const Task task = make_test_task(64);

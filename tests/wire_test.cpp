@@ -41,8 +41,7 @@ INSTANTIATE_TEST_SUITE_P(
     EdgeValues, VarintRoundTrip,
     ::testing::Values(0ULL, 1ULL, 127ULL, 128ULL, 129ULL, 16383ULL, 16384ULL,
                       (1ULL << 32) - 1, 1ULL << 32, (1ULL << 56) + 123,
-                      std::numeric_limits<std::uint64_t>::max()),
-    ::testing::PrintToStringParamName());
+                      std::numeric_limits<std::uint64_t>::max()));
 
 TEST(Codec, VarintUsesMinimalBytesForSmallValues) {
   WireWriter w;
